@@ -217,8 +217,8 @@ func BenchmarkAblationHierarchy(b *testing.B) {
 }
 
 // BenchmarkAblationOverlap measures the Sigma node's producer-consumer
-// pipeline: aggregation overlapped with chunked delivery through the
-// circular buffer versus a store-and-forward pass that only aggregates
+// pipeline: a member-ranked fold overlapped with chunked delivery through
+// the circular buffer versus a store-and-forward pass that only aggregates
 // after everything arrives.
 func BenchmarkAblationOverlap(b *testing.B) {
 	const n = 1 << 16
@@ -227,10 +227,17 @@ func BenchmarkAblationOverlap(b *testing.B) {
 	for i := range vec {
 		vec[i] = float64(i)
 	}
+	members := make([]uint32, contributors)
+	for c := range members {
+		members[c] = uint32(c)
+	}
 	b.Run("overlapped", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ring := runtime.NewCircularBuffer(64)
-			agg := runtime.NewAggregationBuffer(n)
+			agg, err := runtime.NewAggregationBufferChunked(n, 0, members)
+			if err != nil {
+				b.Fatal(err)
+			}
 			var wg sync.WaitGroup
 			for w := 0; w < 4; w++ {
 				wg.Add(1)
@@ -248,10 +255,11 @@ func BenchmarkAblationOverlap(b *testing.B) {
 					}
 				}()
 			}
-			for c := 0; c < contributors; c++ {
-				for _, ch := range runtime.SplitIntoChunks(0, uint32(c), vec, 1) {
-					ring.Push(ch)
-				}
+			for _, id := range members {
+				runtime.CutChunks(0, id, vec, 1, 0, func(c runtime.Chunk) error {
+					ring.Push(c)
+					return nil
+				})
 			}
 			ring.Close()
 			wg.Wait()

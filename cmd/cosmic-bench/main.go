@@ -81,10 +81,10 @@ func main() {
 
 	report := benchReport{Timestamp: time.Now().UTC().Format("20060102T150405Z")}
 	if *netBench {
-		for _, mono := range []bool{false, true} {
-			e, err := netMicro(mono)
+		for _, v := range netVariants {
+			e, err := netMicro(v.name, v.chunkWords)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "cosmic-bench: %s: %v\n", netEntryName(mono), err)
+				fmt.Fprintf(os.Stderr, "cosmic-bench: %s: %v\n", v.name, err)
 				os.Exit(1)
 			}
 			fmt.Printf("%-28s p50 round %v\n", e.Name, time.Duration(e.NsPerOp))
@@ -225,19 +225,23 @@ func loadReport(path string) (benchReport, error) {
 	return rep, nil
 }
 
-func netEntryName(monolithic bool) string {
-	if monolithic {
-		return "net/loopback-6n2g-mono"
-	}
-	return "net/loopback-6n2g-stream"
+// netVariants is the loopback bench's chunk-size sweep over the
+// 65535-parameter model: the default boundary (16 chunks) and one chunk
+// holding the whole model. The one-chunk entry keeps its "mono" name so
+// earlier BENCH_net_*.json artifacts still compare.
+var netVariants = []struct {
+	name       string
+	chunkWords int
+}{
+	{"net/loopback-6n2g-stream", 0},
+	{"net/loopback-6n2g-mono", 65536},
 }
 
 // netMicro measures the aggregation round latency of a 6-node, 2-group
-// loopback TCP cluster pushing a 65535-parameter model (16 streaming chunks
-// at the default boundary), with streaming chunks or monolithic
-// whole-vector frames. Both modes train bit-identically; the entry is the
-// p50 round wall time at the master, after warmup.
-func netMicro(monolithic bool) (benchEntry, error) {
+// loopback TCP cluster pushing a 65535-parameter model cut at chunkWords
+// (0 = the default boundary). Every boundary trains bit-identically; the
+// entry is the p50 round wall time at the master, after warmup.
+func netMicro(name string, chunkWords int) (benchEntry, error) {
 	const (
 		nodes, groups = 6, 2
 		m             = 65535
@@ -260,14 +264,14 @@ func netMicro(monolithic bool) (benchEntry, error) {
 		LearningRate: 0.01,
 		Average:      true,
 		Rounds:       warm + rounds,
-		Monolithic:   monolithic,
+		ChunkWords:   chunkWords,
 	}
 	res, err := cosmic.Train(alg, data, model, cfg)
 	if err != nil {
 		return benchEntry{}, err
 	}
 	return benchEntry{
-		Name:    netEntryName(monolithic),
+		Name:    name,
 		NsPerOp: float64(res.RoundP50.Nanoseconds()),
 	}, nil
 }

@@ -26,8 +26,8 @@ func startEcho(t *testing.T, nw *Network, name string) (string, <-chan *cosmicne
 			return
 		}
 		for {
-			f, err := conn.Recv()
-			if err != nil {
+			f := new(cosmicnet.Frame)
+			if err := conn.Recv(f); err != nil {
 				return
 			}
 			out <- f
@@ -163,12 +163,12 @@ func TestKillMidFrameSeversBothSides(t *testing.T) {
 			acceptErr <- err
 			return
 		}
-		if _, err := conn.Recv(); err != nil {
+		var f cosmicnet.Frame
+		if err := conn.Recv(&f); err != nil {
 			acceptErr <- err
 			return
 		}
-		_, err = conn.Recv() // frame 2 arrives truncated, then EOF
-		acceptErr <- err
+		acceptErr <- conn.Recv(&f) // frame 2 arrives truncated, then EOF
 	}()
 	conn, err := nw.Endpoint("a").Dial(ln.Addr().String())
 	if err != nil {
@@ -304,8 +304,8 @@ func TestWrapTransportDataOnlyDrop(t *testing.T) {
 			return
 		}
 		for {
-			f, err := conn.Recv()
-			if err != nil {
+			f := new(cosmicnet.Frame)
+			if err := conn.Recv(f); err != nil {
 				return
 			}
 			got <- f

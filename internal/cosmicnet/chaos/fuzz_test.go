@@ -44,8 +44,9 @@ func FuzzChaosSchedule(f *testing.F) {
 				return
 			}
 			defer conn.Close()
+			var f cosmicnet.Frame
 			for {
-				if _, err := conn.Recv(); err != nil {
+				if err := conn.Recv(&f); err != nil {
 					return
 				}
 			}

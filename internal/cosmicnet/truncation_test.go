@@ -36,7 +36,7 @@ func TestTruncationAtEveryOffset(t *testing.T) {
 	}
 	raw := enc.Bytes()
 	for cut := 0; cut < len(raw); cut++ {
-		_, err := ReadFrame(bytes.NewReader(raw[:cut]))
+		_, err := decode(bytes.NewReader(raw[:cut]))
 		if err == nil {
 			t.Fatalf("cut at byte %d/%d decoded successfully", cut, len(raw))
 		}
@@ -44,7 +44,7 @@ func TestTruncationAtEveryOffset(t *testing.T) {
 			t.Fatalf("cut at byte %d/%d: %v, want a stream error", cut, len(raw), err)
 		}
 	}
-	got, err := ReadFrame(bytes.NewReader(raw))
+	got, err := decode(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,14 +65,14 @@ func TestTruncatedReadReturnsPoolBuffer(t *testing.T) {
 	raw := enc.Bytes()
 	cut := raw[:len(raw)/2]
 	// Warm the pool class once.
-	if _, err := ReadFrame(bytes.NewReader(raw)); err != nil {
+	if _, err := decode(bytes.NewReader(raw)); err != nil {
 		t.Fatal(err)
 	}
 	r := bytes.NewReader(cut)
 	var f Frame
 	allocs := testing.AllocsPerRun(200, func() {
 		r.Reset(cut)
-		if err := ReadFrameInto(r, &f); err == nil {
+		if err := ReadFrame(r, &f); err == nil {
 			t.Fatal("truncated read succeeded")
 		}
 	})
@@ -124,7 +124,7 @@ func TestCorruptHeaderRejected(t *testing.T) {
 		})},
 	}
 	for _, c := range cases {
-		if _, err := ReadFrame(bytes.NewReader(c.b)); err == nil {
+		if _, err := decode(bytes.NewReader(c.b)); err == nil {
 			t.Errorf("%s: decoded successfully", c.name)
 		}
 	}

@@ -199,19 +199,20 @@ func PutPayload(p []float64) {
 
 // WriteFrame encodes and writes one frame.
 func WriteFrame(w io.Writer, f *Frame) error {
-	_, err := writeFrame(w, f)
-	return err
+	return writeFrame(w, f, nil)
 }
 
-// writeFrame reports the bytes written.
-func writeFrame(w io.Writer, f *Frame) (int, error) {
+// writeFrame encodes and writes one frame. When sent is non-nil the frame's
+// bytes are added to it before the write (and any unwritten tail taken back
+// after), so a peer can never have counted bytes the sender has not.
+func writeFrame(w io.Writer, f *Frame, sent *atomic.Int64) error {
 	traced := f.TraceID != 0 || f.SpanID != 0
 	chunked := f.ChunkCount > 0
 	if !chunked && (f.ChunkIndex != 0 || f.ChunkOffset != 0) {
-		return 0, fmt.Errorf("cosmicnet: chunk index/offset set without chunk count")
+		return fmt.Errorf("cosmicnet: chunk index/offset set without chunk count")
 	}
 	if chunked && f.ChunkIndex >= f.ChunkCount {
-		return 0, fmt.Errorf("cosmicnet: chunk index %d out of range for count %d", f.ChunkIndex, f.ChunkCount)
+		return fmt.Errorf("cosmicnet: chunk index %d out of range for count %d", f.ChunkIndex, f.ChunkCount)
 	}
 	ext := 0
 	if traced {
@@ -224,7 +225,7 @@ func writeFrame(w io.Writer, f *Frame) (int, error) {
 	payloadLen := len(f.Payload) * 8
 	total := headerBytes + ext + textLen + payloadLen
 	if int64(total) > frameCap.Load() {
-		return 0, fmt.Errorf("cosmicnet: frame of %d bytes exceeds limit %d", total, FrameCap())
+		return fmt.Errorf("cosmicnet: frame of %d bytes exceeds limit %d", total, FrameCap())
 	}
 	bp := getBuf(4 + total)
 	defer putBuf(bp)
@@ -261,23 +262,20 @@ func writeFrame(w io.Writer, f *Frame) (int, error) {
 		binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(v))
 		off += 8
 	}
-	n, err := w.Write(buf)
-	return n, err
-}
-
-// ReadFrame reads and decodes one frame.
-func ReadFrame(r io.Reader) (*Frame, error) {
-	f := new(Frame)
-	_, err := readFrameInto(r, f)
-	if err != nil {
-		return nil, err
+	if sent == nil {
+		_, err := w.Write(buf)
+		return err
 	}
-	return f, nil
+	sent.Add(int64(len(buf)))
+	n, err := w.Write(buf)
+	sent.Add(int64(n - len(buf)))
+	return err
 }
 
-// ReadFrameInto reads and decodes one frame into f, reusing f.Payload's
-// capacity when it suffices. Every field of f is overwritten.
-func ReadFrameInto(r io.Reader, f *Frame) error {
+// ReadFrame reads and decodes one frame into f, reusing f.Payload's
+// capacity when it suffices. Every field of f is overwritten, so a caller
+// that keeps a decoded frame past its next read passes a fresh one.
+func ReadFrame(r io.Reader, f *Frame) error {
 	_, err := readFrameInto(r, f)
 	return err
 }
@@ -374,25 +372,13 @@ func Dial(addr string) (*Conn, error) {
 
 // Send writes one frame.
 func (c *Conn) Send(f *Frame) error {
-	n, err := writeFrame(c.Conn, f)
-	c.sent.Add(int64(n))
-	return err
+	return writeFrame(c.Conn, f, &c.sent)
 }
 
-// Recv reads one frame.
-func (c *Conn) Recv() (*Frame, error) {
-	f := new(Frame)
-	n, err := readFrameInto(c.Conn, f)
-	c.received.Add(int64(n))
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// RecvInto reads one frame into f, reusing f.Payload's capacity. Every
-// field of f is overwritten.
-func (c *Conn) RecvInto(f *Frame) error {
+// Recv reads one frame into f, reusing f.Payload's capacity. Every field
+// of f is overwritten, so a caller that keeps a received frame past its
+// next receive passes a fresh one.
+func (c *Conn) Recv(f *Frame) error {
 	n, err := readFrameInto(c.Conn, f)
 	c.received.Add(int64(n))
 	return err

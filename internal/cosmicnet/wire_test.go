@@ -11,6 +11,24 @@ import (
 	"testing/quick"
 )
 
+// decode reads one frame from r into a fresh Frame.
+func decode(r io.Reader) (*Frame, error) {
+	f := new(Frame)
+	if err := ReadFrame(r, f); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// recv receives one frame from c into a fresh Frame.
+func recv(c *Conn) (*Frame, error) {
+	f := new(Frame)
+	if err := c.Recv(f); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	frames := []*Frame{
 		{Type: MsgHello, From: 3, Text: "127.0.0.1:9999"},
@@ -27,7 +45,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err := WriteFrame(&buf, f); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReadFrame(&buf)
+		got, err := decode(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +74,7 @@ func TestFrameRoundTripProperty(t *testing.T) {
 		if err := WriteFrame(&buf, f); err != nil {
 			return false
 		}
-		got, err := ReadFrame(&buf)
+		got, err := decode(&buf)
 		if err != nil {
 			return false
 		}
@@ -95,7 +113,7 @@ func TestFrameRoundTripProperty(t *testing.T) {
 		if buf.Bytes()[4]&flagTrace != 0 {
 			return false // untraced frame must not set the extension flag
 		}
-		got, err := ReadFrame(&buf)
+		got, err := decode(&buf)
 		return err == nil && got.TraceID == 0 && got.SpanID == 0 && got.Seq == seq
 	}
 	if err := quick.Check(untraced, &quick.Config{MaxCount: 100}); err != nil {
@@ -200,13 +218,13 @@ func TestReadFrameRejectsGarbage(t *testing.T) {
 	// Length below the header size.
 	var buf bytes.Buffer
 	buf.Write([]byte{1, 0, 0, 0})
-	if _, err := ReadFrame(&buf); err == nil {
+	if _, err := decode(&buf); err == nil {
 		t.Error("expected error for undersized frame")
 	}
 	// Length exceeding the cap.
 	buf.Reset()
 	buf.Write([]byte{0xff, 0xff, 0xff, 0xff})
-	if _, err := ReadFrame(&buf); err == nil {
+	if _, err := decode(&buf); err == nil {
 		t.Error("expected error for oversized frame")
 	}
 	// Inconsistent inner lengths.
@@ -217,11 +235,11 @@ func TestReadFrameRejectsGarbage(t *testing.T) {
 	}
 	raw := buf.Bytes()
 	raw[4+21] = 0xee // corrupt the text length
-	if _, err := ReadFrame(bytes.NewReader(raw)); err == nil {
+	if _, err := decode(bytes.NewReader(raw)); err == nil {
 		t.Error("expected error for inconsistent frame")
 	}
 	// Truncated stream.
-	if _, err := ReadFrame(bytes.NewReader(raw[:8])); err == nil {
+	if _, err := decode(bytes.NewReader(raw[:8])); err == nil {
 		t.Error("expected error for truncated frame")
 	}
 }
@@ -241,7 +259,7 @@ func TestChunkedFrameRoundTrip(t *testing.T) {
 		if err := WriteFrame(&buf, f); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReadFrame(&buf)
+		got, err := decode(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,7 +292,7 @@ func TestChunkedFrameRoundTripProperty(t *testing.T) {
 		if err := WriteFrame(&buf, f); err != nil {
 			return false
 		}
-		got, err := ReadFrame(&buf)
+		got, err := decode(&buf)
 		if err != nil {
 			return false
 		}
@@ -310,7 +328,7 @@ func TestChunkedFrameRoundTripProperty(t *testing.T) {
 		if buf.Bytes()[4]&flagChunk != 0 {
 			return false
 		}
-		got, err := ReadFrame(&buf)
+		got, err := decode(&buf)
 		return err == nil && !got.Chunked() && got.ChunkOffset == 0
 	}
 	if err := quick.Check(unchunked, &quick.Config{MaxCount: 100}); err != nil {
@@ -392,7 +410,7 @@ func TestReadFrameRejectsBadChunkExtension(t *testing.T) {
 	raw := buf.Bytes()
 	// Zero out the chunk count on the wire: index 1 of count 0 is invalid.
 	binary.LittleEndian.PutUint32(raw[4+headerBytes+4:], 0)
-	if _, err := ReadFrame(bytes.NewReader(raw)); err == nil {
+	if _, err := decode(bytes.NewReader(raw)); err == nil {
 		t.Error("expected error for chunk count 0 with flag set")
 	}
 }
@@ -407,7 +425,7 @@ func TestReadFrameRejectsOverflowingPayloadLength(t *testing.T) {
 	raw[4] = byte(MsgModel)
 	binary.LittleEndian.PutUint32(raw[4+17:], 0)     // textLen
 	binary.LittleEndian.PutUint32(raw[4+21:], 1<<29) // payloadLen*8 wraps to 0
-	if _, err := ReadFrame(bytes.NewReader(raw)); err == nil {
+	if _, err := decode(bytes.NewReader(raw)); err == nil {
 		t.Fatal("expected error for uint32-overflowing payload length")
 	}
 }
@@ -431,7 +449,7 @@ func TestConfigurableFrameCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	SetMaxFrameBytes(256)
-	if _, err := ReadFrame(&buf); err == nil {
+	if _, err := decode(&buf); err == nil {
 		t.Error("expected reader to enforce the cap")
 	}
 	SetMaxFrameBytes(0)
@@ -465,7 +483,7 @@ func TestFrameIOAllocs(t *testing.T) {
 	r := bytes.NewReader(raw)
 	recvAllocs := testing.AllocsPerRun(200, func() {
 		r.Reset(raw)
-		if err := ReadFrameInto(r, &into); err != nil {
+		if err := ReadFrame(r, &into); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -477,8 +495,8 @@ func TestFrameIOAllocs(t *testing.T) {
 	}
 }
 
-// TestRecvIntoOverwritesEveryField: a reused Frame must not leak the
-// previous frame's extension fields into the next decode.
+// TestRecvIntoOverwritesEveryField: receiving into a reused Frame must not
+// leak the previous frame's extension fields into the next decode.
 func TestRecvIntoOverwritesEveryField(t *testing.T) {
 	first := &Frame{Type: MsgPartial, Seq: 1, From: 2, Weight: 3, Text: "x",
 		TraceID: 7, SpanID: 8, ChunkIndex: 1, ChunkCount: 2, ChunkOffset: 4, Payload: []float64{1, 2}}
@@ -491,15 +509,15 @@ func TestRecvIntoOverwritesEveryField(t *testing.T) {
 		t.Fatal(err)
 	}
 	var f Frame
-	if err := ReadFrameInto(&buf, &f); err != nil {
+	if err := ReadFrame(&buf, &f); err != nil {
 		t.Fatal(err)
 	}
-	if err := ReadFrameInto(&buf, &f); err != nil {
+	if err := ReadFrame(&buf, &f); err != nil {
 		t.Fatal(err)
 	}
 	if f.TraceID != 0 || f.SpanID != 0 || f.Chunked() || f.ChunkOffset != 0 ||
 		f.Text != "" || f.Weight != 0 || len(f.Payload) != 0 {
-		t.Errorf("stale fields after RecvInto reuse: %+v", &f)
+		t.Errorf("stale fields after reusing the frame: %+v", &f)
 	}
 }
 
@@ -534,7 +552,7 @@ func TestLoopbackConn(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		f, err := conn.Recv()
+		f, err := recv(conn)
 		if err != nil {
 			done <- nil
 			return
@@ -550,7 +568,7 @@ func TestLoopbackConn(t *testing.T) {
 	if err := c.Send(&Frame{Type: MsgModel, Seq: 9, Payload: []float64{1, 2, 3}}); err != nil {
 		t.Fatal(err)
 	}
-	ack, err := c.Recv()
+	ack, err := recv(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -582,7 +600,7 @@ func TestConnByteAccounting(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		if _, err := conn.Recv(); err != nil {
+		if _, err := recv(conn); err != nil {
 			done <- -1
 			return
 		}

@@ -79,9 +79,6 @@ type Spec struct {
 	// node must agree on it — fixed boundaries are what keep the
 	// aggregation deterministic — so the Director distributes it.
 	ChunkWords int `json:"chunk_words,omitempty"`
-	// Monolithic disables streaming: whole-vector partial/aggregate frames,
-	// as pre-streaming binaries sent them.
-	Monolithic bool `json:"monolithic,omitempty"`
 
 	// Simulate routes every node's gradient computation through the
 	// cycle-level accelerator simulator (each worker compiles the
@@ -148,7 +145,6 @@ type workerConfig struct {
 	Role         int      `json:"role"`
 	Group        int      `json:"group"`
 	UpstreamAddr string   `json:"upstream_addr"`
-	Members      int      `json:"members"`
 	MemberIDs    []uint32 `json:"member_ids,omitempty"`
 	Spec         Spec     `json:"spec"`
 	LR           float64  `json:"lr"`
@@ -200,9 +196,9 @@ func statsFor(node *runtime.Node, o *obs.Observer, httpAddr string) NodeStats {
 // which is otherwise idle between configuration and shutdown (the Director
 // is its only other user). Returns when the connection closes.
 func serveStats(conn *cosmicnet.Conn, node *runtime.Node, o *obs.Observer, httpAddr string) {
+	var f cosmicnet.Frame
 	for {
-		f, err := conn.Recv()
-		if err != nil {
+		if err := conn.Recv(&f); err != nil {
 			return
 		}
 		if f.Type != cosmicnet.MsgStats {
@@ -230,8 +226,8 @@ func scrapeWorker(conn *cosmicnet.Conn, seq uint32) (NodeStats, error) {
 	if err := conn.Send(&cosmicnet.Frame{Type: cosmicnet.MsgStats, Seq: seq}); err != nil {
 		return NodeStats{}, err
 	}
-	f, err := conn.Recv()
-	if err != nil {
+	var f cosmicnet.Frame
+	if err := conn.Recv(&f); err != nil {
 		return NodeStats{}, err
 	}
 	if f.Type != cosmicnet.MsgStats {
@@ -359,10 +355,8 @@ func buildNode(cfg workerConfig, o *obs.Observer, logger *slog.Logger, reconnect
 		Role:          runtime.Role(cfg.Role),
 		Group:         cfg.Group,
 		UpstreamAddr:  cfg.UpstreamAddr,
-		Members:       cfg.Members,
 		MemberIDs:     cfg.MemberIDs,
 		ChunkWords:    cfg.Spec.ChunkWords,
-		Monolithic:    cfg.Spec.Monolithic,
 		Engine:        engine,
 		ModelSize:     alg.ModelSize(),
 		Agg:           cfg.Spec.agg(),
@@ -455,8 +449,7 @@ func RunMasterOpts(controlAddr string, spec Spec, opts MasterOptions) (*Result, 
 	// The master node itself (group 0's Sigma + top-level combiner).
 	masterCfg := workerConfig{
 		NodeID: 0, Role: int(runtime.RoleMasterSigma), Group: 0,
-		Members: len(topo.Members[0]), MemberIDs: topo.MasterMemberIDs(),
-		Spec: spec, LR: lr,
+		MemberIDs: topo.MasterMemberIDs(), Spec: spec, LR: lr,
 	}
 	master, err := buildNode(masterCfg, opts.Obs, opts.Logger, false, 0)
 	if err != nil {
@@ -525,8 +518,8 @@ func RunMasterOpts(controlAddr string, spec Spec, opts MasterOptions) (*Result, 
 			return nil, err
 		}
 		conn := &cosmicnet.Conn{Conn: raw}
-		f, err := conn.Recv()
-		if err != nil || f.Type != cosmicnet.MsgHello {
+		var hello cosmicnet.Frame
+		if err := conn.Recv(&hello); err != nil || hello.Type != cosmicnet.MsgHello {
 			conn.Close()
 			continue
 		}
@@ -550,15 +543,15 @@ func RunMasterOpts(controlAddr string, spec Spec, opts MasterOptions) (*Result, 
 		w := workers[g-1]
 		cfg := workerConfig{
 			NodeID: uint32(g), Role: int(runtime.RoleGroupSigma), Group: g,
-			UpstreamAddr: master.Addr(), Members: len(topo.Members[g]),
-			MemberIDs: topo.MemberIDs(g), Spec: spec, LR: lr,
+			UpstreamAddr: master.Addr(), MemberIDs: topo.MemberIDs(g),
+			Spec: spec, LR: lr,
 		}
 		w.cfg = cfg
 		if err := sendConfig(w.conn, cfg); err != nil {
 			return nil, err
 		}
-		ack, err := w.conn.Recv()
-		if err != nil || ack.Type != cosmicnet.MsgAck {
+		var ack cosmicnet.Frame
+		if err := w.conn.Recv(&ack); err != nil || ack.Type != cosmicnet.MsgAck {
 			return nil, fmt.Errorf("deploy: sigma %d did not ack: %v", g, err)
 		}
 		sigmaAddr[g] = ack.Text
@@ -593,9 +586,10 @@ func RunMasterOpts(controlAddr string, spec Spec, opts MasterOptions) (*Result, 
 				}
 				conn := &cosmicnet.Conn{Conn: raw}
 				conn.SetDeadline(time.Now().Add(3 * time.Second))
-				f, err := conn.Recv()
+				var hello cosmicnet.Frame
+				err = conn.Recv(&hello)
 				conn.SetDeadline(time.Time{})
-				if err != nil || f.Type != cosmicnet.MsgHello {
+				if err != nil || hello.Type != cosmicnet.MsgHello {
 					conn.Close()
 					continue
 				}
@@ -831,8 +825,8 @@ func RunWorkerOpts(controlAddr string, opts WorkerOptions) error {
 	if err := conn.Send(&cosmicnet.Frame{Type: cosmicnet.MsgHello}); err != nil {
 		return err
 	}
-	f, err := conn.Recv()
-	if err != nil {
+	var f cosmicnet.Frame
+	if err := conn.Recv(&f); err != nil {
 		return err
 	}
 	if f.Type != cosmicnet.MsgConfig {

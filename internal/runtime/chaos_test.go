@@ -338,10 +338,9 @@ func (s *chaosLogBuf) String() string {
 }
 
 // TestChaosMasterPreExcludesDeadDelta pins a regression in the master's
-// pre-exclusion arithmetic. The master's cfg.Members counts only its own
-// group ({0,2} here), but its fold set also carries one aggregate per other
-// group's Sigma — three members in total. Counting quorum survivors against
-// the short number vetoed pre-exclusion whenever the master's own group
+// pre-exclusion arithmetic. The master's own group is {0,2} here, but its
+// fold set also carries one aggregate per other group's Sigma — three
+// members in total. Counting quorum survivors against the group size vetoed pre-exclusion whenever the master's own group
 // alone could not make quorum, so a permanently dead Delta re-paid the
 // round timeout on every round. With the fix the master folds the first
 // timed-out round on quorum, then starts every later round without the

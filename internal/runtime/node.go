@@ -29,9 +29,6 @@ type NodeConfig struct {
 	// address for Deltas, the master's address for group Sigmas; empty for
 	// the master.
 	UpstreamAddr string
-	// Members is the number of contributions this node's aggregation stage
-	// expects per mini-batch (Sigma roles only).
-	Members int
 	// MemberIDs lists the node IDs whose contributions this node's
 	// aggregation stage folds each round, its own included (Sigma roles
 	// only; required). The sorted order of the IDs fixes the fold order,
@@ -41,11 +38,6 @@ type NodeConfig struct {
 	// partials stream, fold, and forward at. 0 selects the default
 	// (ChunkSize); other values must be powers of two.
 	ChunkWords int
-	// Monolithic ships partials and group aggregates as single
-	// whole-vector frames (the pre-streaming wire behavior, byte-compatible
-	// with old binaries) instead of chunk-frame streams. Aggregation still
-	// folds in member order, so trained models match streaming bitwise.
-	Monolithic bool
 	// Engine computes partial updates.
 	Engine Engine
 	// ModelSize is the flat parameter-vector length.
@@ -76,32 +68,25 @@ type NodeConfig struct {
 	// Transport opens this node's listener and upstream connection. nil
 	// selects cosmicnet.TCP; the chaos fabric substitutes its own.
 	Transport cosmicnet.Transport
-	// NetWorkers and AggWorkers size the Sigma thread pools.
-	NetWorkers, AggWorkers int
-	// RingCapacity bounds the circular buffer.
-	RingCapacity int
-	// Logf, when set, receives diagnostic output.
-	Logf func(format string, args ...any)
 	// Logger, when set, receives structured diagnostics (failures,
-	// timeouts, straggler warnings) with node/role/group attributes
-	// attached; nil discards them (Logf still fires).
+	// timeouts, member connects, straggler warnings) with node/role/group
+	// attributes attached; nil discards them.
 	Logger *slog.Logger
 	// Obs, when non-nil, records per-frame counters, aggregation fan-in,
 	// ring depth, and per-round spans for this node. nil disables all of it.
 	Obs *obs.Observer
-	// FlightSize bounds the node's flight recorder (last-N wire events
-	// kept for post-mortem dumps); 0 means the default of 256.
-	FlightSize int
 	// DiagDir is where round-failure diagnostic dumps land; empty means
 	// the OS temp directory.
 	DiagDir string
 }
 
-func (c *NodeConfig) logf(format string, args ...any) {
-	if c.Logf != nil {
-		c.Logf(format, args...)
-	}
-}
+// Sizes of a node's fixed machinery: the Sigma's aggregation workers and
+// circular-buffer slots, and the flight recorder's last-N wire events.
+const (
+	foldWorkers  = 4
+	ringSlots    = 64
+	flightEvents = 256
+)
 
 // ValidChunkWords reports whether w is an acceptable ChunkWords setting:
 // zero (default) or a power of two.
@@ -145,10 +130,8 @@ type Node struct {
 	sendMu sync.Mutex
 
 	// Sigma machinery.
-	ring    *CircularBuffer
-	agg     *AggregationBuffer
-	netPool *Pool
-	aggPool *Pool
+	ring *CircularBuffer
+	agg  *AggregationBuffer
 	// downstream are the member connections a Sigma forwards models to.
 	// Dead ones are pruned on send failure; downSentBase/downRecvBase carry
 	// the pruned connections' byte counters.
@@ -195,9 +178,12 @@ func (n *Node) fail(err error) {
 	}
 	n.errOnce.Do(func() {
 		n.err = err
-		n.cfg.logf("node %d failed: %v", n.cfg.ID, err)
 		n.logger.Error("node failed", "round", n.lastSeq.Load(), "err", err)
 		n.flight.Record(obs.FlightEvent{Dir: obs.FlightMark, Type: "node-failed", Seq: n.lastSeq.Load()})
+		// A Sigma waiting on a round it can no longer finish stops waiting.
+		if n.agg != nil {
+			n.agg.Fail(err)
+		}
 	})
 }
 
@@ -315,21 +301,8 @@ func (n *Node) lastSeenSummary() string {
 }
 
 // StartNode launches a node over its shard. Sigma roles open a listener and
-// start the networking/aggregation pools; Delta roles only dial upstream
-// (from Run).
+// start the aggregation pool; Delta roles only dial upstream (from Run).
 func StartNode(cfg NodeConfig, shard []ml.Sample) (*Node, error) {
-	if cfg.NetWorkers <= 0 {
-		cfg.NetWorkers = 4
-	}
-	if cfg.AggWorkers <= 0 {
-		cfg.AggWorkers = 4
-	}
-	if cfg.RingCapacity <= 0 {
-		cfg.RingCapacity = 64
-	}
-	if cfg.FlightSize <= 0 {
-		cfg.FlightSize = 256
-	}
 	if !ValidChunkWords(cfg.ChunkWords) {
 		return nil, fmt.Errorf("runtime: ChunkWords %d is not a power of two", cfg.ChunkWords)
 	}
@@ -344,7 +317,7 @@ func StartNode(cfg NodeConfig, shard []ml.Sample) (*Node, error) {
 	n.closeCh = make(chan struct{})
 	n.suspects = make(map[uint32]uint32)
 	n.obs = newNodeObs(cfg.Obs, cfg.ID, cfg.Role)
-	n.flight = obs.NewFlightRecorder(cfg.FlightSize)
+	n.flight = obs.NewFlightRecorder(flightEvents)
 	logger := cfg.Logger
 	if logger == nil {
 		logger = discardLogger
@@ -355,26 +328,24 @@ func StartNode(cfg NodeConfig, shard []ml.Sample) (*Node, error) {
 		if len(cfg.MemberIDs) == 0 {
 			return nil, fmt.Errorf("runtime: node %d: %v role requires MemberIDs", cfg.ID, cfg.Role)
 		}
+		agg, err := NewAggregationBufferChunked(cfg.ModelSize, cfg.ChunkWords, cfg.MemberIDs)
+		if err != nil {
+			return nil, err
+		}
 		ln, err := n.transport.Listen("127.0.0.1:0")
 		if err != nil {
 			return nil, err
 		}
 		n.ln = ln
-		n.ring = NewCircularBuffer(cfg.RingCapacity)
-		n.agg = NewAggregationBufferChunked(cfg.ModelSize, cfg.ChunkWords)
-		if err := n.agg.SetMembers(cfg.MemberIDs); err != nil {
-			ln.Close()
-			return nil, err
-		}
+		n.ring = NewCircularBuffer(ringSlots)
+		n.agg = agg
 		if cfg.Obs != nil {
 			n.ring.SetDepthGauge(cfg.Obs.Registry().Gauge(
 				obs.Labeled("cosmic_node_ring_depth", "node", strconv.Itoa(int(cfg.ID)))))
 			n.agg.SetPipelineGauge(cfg.Obs.Registry().Gauge(
 				obs.Labeled("cosmic_sigma_pipeline_depth", "node", strconv.Itoa(int(cfg.ID)))))
 		}
-		n.netPool = NewPool(cfg.NetWorkers)
-		n.aggPool = NewPool(cfg.AggWorkers)
-		for i := 0; i < cfg.AggWorkers; i++ {
+		for i := 0; i < foldWorkers; i++ {
 			n.wg.Add(1)
 			go n.aggWorker()
 		}
@@ -387,6 +358,8 @@ func StartNode(cfg NodeConfig, shard []ml.Sample) (*Node, error) {
 // aggWorker is one Aggregation Pool thread: it drains the circular buffer
 // into the aggregation buffer until the ring closes. Pooled wire payloads
 // are recycled once folded — the Add path never retains the chunk's slice.
+// The fan-in counters move before the fold, so a round that Add completes
+// is already counted when a waiter wakes.
 func (n *Node) aggWorker() {
 	defer n.wg.Done()
 	for {
@@ -394,6 +367,7 @@ func (n *Node) aggWorker() {
 		if !ok {
 			return
 		}
+		n.obs.chunkFolded(c.Last)
 		err := n.agg.Add(c)
 		if c.Recycle {
 			cosmicnet.PutPayload(c.Data)
@@ -402,7 +376,6 @@ func (n *Node) aggWorker() {
 			n.fail(err)
 			return
 		}
-		n.obs.chunkFolded(c.Last)
 	}
 }
 
@@ -424,15 +397,16 @@ func (n *Node) acceptLoop() {
 	}
 }
 
-// readLoop dispatches inbound frames from one member connection. The frame
-// is decoded into reused storage; data-frame payloads are handed off to the
-// fold pipeline and replaced from the payload pool, so a steady-state round
-// recycles a few buffers instead of allocating per frame.
+// readLoop dispatches inbound frames from one member connection: it is the
+// Sigma's networking stage. The frame is decoded into reused storage;
+// data-frame payloads are handed off to the fold pipeline and replaced from
+// the payload pool, so a steady-state round recycles a few buffers instead
+// of allocating per frame.
 func (n *Node) readLoop(conn *cosmicnet.Conn) {
 	defer n.wg.Done()
 	f := new(cosmicnet.Frame)
 	for {
-		if err := conn.RecvInto(f); err != nil {
+		if err := conn.Recv(f); err != nil {
 			return // peer closed
 		}
 		n.flight.Record(obs.FlightEvent{
@@ -441,7 +415,7 @@ func (n *Node) readLoop(conn *cosmicnet.Conn) {
 		})
 		switch f.Type {
 		case cosmicnet.MsgHello:
-			n.cfg.logf("node %d: member %d connected (%s)", n.cfg.ID, f.From, f.Text)
+			n.logger.Debug("member connected", "member", f.From, "addr", f.Text)
 			if n.obs != nil {
 				n.obs.recvFrame(n.obs.framesHello, len(f.Payload))
 			}
@@ -453,6 +427,13 @@ func (n *Node) readLoop(conn *cosmicnet.Conn) {
 			n.helloMu.Unlock()
 			n.helloCond.Broadcast()
 		case cosmicnet.MsgPartial, cosmicnet.MsgGroupAggregate:
+			if !f.Chunked() {
+				// Contributions travel only as fixed-boundary chunk frames;
+				// a whole-vector frame (an old binary, or a foreign sender)
+				// cannot fold in member-rank order, so nothing of it folds.
+				n.fail(fmt.Errorf("node %d: unchunked %v frame from %d", n.cfg.ID, f.Type, f.From))
+				return
+			}
 			// Data from a round newer than the one that timed the member out
 			// means it caught back up on its existing connection.
 			n.clearSuspect(f.From, f.Seq, false)
@@ -465,38 +446,22 @@ func (n *Node) readLoop(conn *cosmicnet.Conn) {
 				sp := n.obs.tracer().Begin("runtime", name, n.obs.threadID())
 				sp.EndArgs(traceArgs(f, obs.ArgFlowIn))
 			}
-			if f.Chunked() {
-				// Fold on arrival: the frame already is one ring chunk, so it
-				// goes straight to the Aggregation Pool — no staging of the
-				// full vector, no re-chunking. The payload's ownership moves
-				// to the chunk (Recycle: true makes aggWorker Put it after
-				// folding); the read frame draws a recycled one.
-				//cosmic:transfers f.Payload moves into the ring chunk
-				c := Chunk{
-					Seq: f.Seq, From: f.From, Offset: int(f.ChunkOffset),
-					Data: f.Payload, Weight: f.Weight,
-					Last: f.ChunkIndex == f.ChunkCount-1, Recycle: true,
-				}
-				//cosmic:transfers replacement buffer owned by the frame reader
-				f.Payload = cosmicnet.GetPayload(0)
-				if !n.ring.Push(c) {
-					return
-				}
-				continue
+			// Fold on arrival: the frame already is one ring chunk, so it
+			// goes straight to the Aggregation Pool — no staging of the full
+			// vector, no re-chunking. The payload's ownership moves to the
+			// chunk (Recycle: true makes aggWorker Put it after folding); the
+			// read frame draws a recycled one.
+			//cosmic:transfers f.Payload moves into the ring chunk
+			c := Chunk{
+				Seq: f.Seq, From: f.From, Offset: int(f.ChunkOffset),
+				Data: f.Payload, Weight: f.Weight,
+				Last: f.ChunkIndex == f.ChunkCount-1, Recycle: true,
 			}
-			// Monolithic frame: Networking Pool cuts the received vector into
-			// circular-buffer chunks; the Aggregation Pool picks them up
-			// concurrently (producer-consumer overlap).
-			payload := f.Payload
-			f.Payload = nil
-			seq, from, weight := f.Seq, f.From, f.Weight
-			n.netPool.Submit(func() {
-				for _, c := range SplitIntoChunksWords(seq, from, payload, weight, n.chunkWords) {
-					if !n.ring.Push(c) {
-						return
-					}
-				}
-			})
+			//cosmic:transfers replacement buffer owned by the frame reader
+			f.Payload = cosmicnet.GetPayload(0)
+			if !n.ring.Push(c) {
+				return
+			}
 		default:
 			n.fail(fmt.Errorf("node %d: unexpected %v frame from %d", n.cfg.ID, f.Type, f.From))
 		}
@@ -531,25 +496,12 @@ func (n *Node) computePartial(model []float64) ([]float64, error) {
 // ring, no copy and no chunk-slice allocation (the local-contribution
 // fast path).
 func (n *Node) pushLocalChunks(seq uint32, vec []float64, weight float64) error {
-	if len(vec) == 0 {
-		if !n.ring.Push(Chunk{Seq: seq, From: n.cfg.ID, Weight: weight, Last: true}) {
+	return CutChunks(seq, n.cfg.ID, vec, weight, n.chunkWords, func(c Chunk) error {
+		if !n.ring.Push(c) {
 			return fmt.Errorf("node %d: ring closed mid-batch", n.cfg.ID)
 		}
 		return nil
-	}
-	for off := 0; off < len(vec); off += n.chunkWords {
-		end := off + n.chunkWords
-		if end > len(vec) {
-			end = len(vec)
-		}
-		if !n.ring.Push(Chunk{
-			Seq: seq, From: n.cfg.ID, Offset: off,
-			Data: vec[off:end], Weight: weight, Last: end == len(vec),
-		}) {
-			return fmt.Errorf("node %d: ring closed mid-batch", n.cfg.ID)
-		}
-	}
-	return nil
+	})
 }
 
 // NetworkBytes sums the frame bytes this node moved over its upstream and
@@ -575,10 +527,10 @@ func (n *Node) NetworkBytes() (sent, received int64) {
 
 // WaitMembers blocks until k member hellos have arrived (Sigma startup
 // barrier: a Sigma must know all its members before forwarding the first
-// model broadcast).
+// model broadcast) or the node is closed.
 func (n *Node) WaitMembers(k int) {
 	n.helloMu.Lock()
-	for n.helloCount < k {
+	for n.helloCount < k && !n.closing.Load() {
 		n.helloCond.Wait()
 	}
 	n.helloMu.Unlock()
@@ -634,16 +586,10 @@ func (n *Node) preExcludeSuspects(seq uint32, minQuorum int) bool {
 		return false
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	// Count survivors against the fold set the buffer actually waits on.
-	// cfg.Members is the node's own group size, which undercounts for the
-	// master (its buffer also folds one aggregate per other group's Sigma);
-	// using it here would veto pre-exclusion and re-pay the round timeout
-	// for every round a dead member stays dead.
-	members := n.cfg.Members
-	if len(n.cfg.MemberIDs) > 0 {
-		members = len(n.cfg.MemberIDs)
-	}
-	if members-len(ids) < minQuorum {
+	// Count survivors against the fold set the buffer actually waits on:
+	// for the master that is its own group plus one aggregate per other
+	// group's Sigma.
+	if len(n.cfg.MemberIDs)-len(ids) < minQuorum {
 		return false
 	}
 	if n.agg.Exclude(ids) == 0 {
@@ -688,6 +634,13 @@ func (n *Node) connectUpstream() (*cosmicnet.Conn, error) {
 		return nil, err
 	}
 	n.upMu.Lock()
+	// Close marks closing before it takes upMu to sever the upstream, so a
+	// node closed before it connected never joins the cluster.
+	if n.closing.Load() {
+		n.upMu.Unlock()
+		up.Close()
+		return nil, fmt.Errorf("node %d: closed before connecting upstream", n.cfg.ID)
+	}
 	if n.upstream != nil {
 		n.sentBase += n.upstream.BytesSent()
 		n.recvBase += n.upstream.BytesReceived()
@@ -759,12 +712,14 @@ func (n *Node) Run() error {
 	if n.cfg.Role == RoleGroupSigma {
 		// All group members must be connected before the first model
 		// forward, or they would miss the round.
-		n.WaitMembers(n.cfg.Members - 1)
+		n.WaitMembers(len(n.cfg.MemberIDs) - 1)
 	}
 
+	// One frame serves every round: a round is done with the model before
+	// the next receive overwrites it.
+	f := new(cosmicnet.Frame)
 	for {
-		f, err := up.Recv()
-		if err != nil {
+		if err := up.Recv(f); err != nil {
 			if n.closing.Load() || !n.cfg.Reconnect {
 				n.fail(fmt.Errorf("node %d: upstream: %w", n.cfg.ID, err))
 				return n.err
@@ -809,12 +764,6 @@ func (n *Node) handleModel(f *cosmicnet.Frame) error {
 		}
 		n.obs.sent(len(partial))
 		n.noteRound(f.Seq, time.Since(roundStart))
-		if n.cfg.Monolithic {
-			return n.sendUpstream(&cosmicnet.Frame{
-				Type: cosmicnet.MsgPartial, Seq: f.Seq, From: n.cfg.ID,
-				Weight: 1, Payload: partial, TraceID: f.TraceID,
-			})
-		}
 		return n.streamUpstream(cosmicnet.MsgPartial, f.Seq, 1, partial, f.TraceID)
 
 	case RoleGroupSigma:
@@ -825,27 +774,23 @@ func (n *Node) handleModel(f *cosmicnet.Frame) error {
 		n.agg.Reset(f.Seq)
 		seq, traceID := f.Seq, f.TraceID
 		excludedRound := n.preExcludeSuspects(seq, n.cfg.MinQuorum)
-		if n.cfg.Monolithic {
-			n.agg.SetOnComplete(nil)
-		} else {
-			// Fold-on-arrival forwarding: the moment chunk idx has every
-			// member's contribution, ship it upstream — the master starts
-			// folding this group's early chunks while later ones are still
-			// crossing the group's own links. The callback runs on
-			// aggregation workers; sendUpstream serializes the writes.
-			count := uint32(n.agg.ChunkCount())
-			n.agg.SetOnComplete(func(idx int, span []float64, weight float64) {
-				n.obs.sent(len(span))
-				if err := n.sendUpstream(&cosmicnet.Frame{
-					Type: cosmicnet.MsgGroupAggregate, Seq: seq, From: n.cfg.ID,
-					Weight: weight, Payload: span, TraceID: traceID,
-					ChunkIndex: uint32(idx), ChunkCount: count,
-					ChunkOffset: uint32(idx * n.chunkWords),
-				}); err != nil {
-					n.fail(err)
-				}
-			})
-		}
+		// Fold-on-arrival forwarding: the moment chunk idx has every
+		// member's contribution, ship it upstream — the master starts
+		// folding this group's early chunks while later ones are still
+		// crossing the group's own links. The callback runs on aggregation
+		// workers; sendUpstream serializes the writes.
+		count := uint32(n.agg.ChunkCount())
+		n.agg.SetOnComplete(func(idx int, span []float64, weight float64) {
+			n.obs.sent(len(span))
+			if err := n.sendUpstream(&cosmicnet.Frame{
+				Type: cosmicnet.MsgGroupAggregate, Seq: seq, From: n.cfg.ID,
+				Weight: weight, Payload: span, TraceID: traceID,
+				ChunkIndex: uint32(idx), ChunkCount: count,
+				ChunkOffset: uint32(idx * n.chunkWords),
+			}); err != nil {
+				n.fail(err)
+			}
+		})
 		n.broadcastDownstream(f)
 		// The Sigma computes its own partial too; its contribution takes
 		// the same chunked path as remote ones.
@@ -858,8 +803,8 @@ func (n *Node) handleModel(f *cosmicnet.Frame) error {
 		if err := n.pushLocalChunks(seq, partial, 1); err != nil {
 			return err
 		}
-		// Wait until every chunk has every member (streaming mode has then
-		// already forwarded each one).
+		// Wait until every chunk has every member (each one has then already
+		// been forwarded).
 		sp = tr.Begin("runtime", "sigma-aggregate-wait", n.obs.threadID())
 		ok, err := n.agg.WaitComplete(n.cfg.RoundTimeout, nil)
 		sp.End()
@@ -883,15 +828,7 @@ func (n *Node) handleModel(f *cosmicnet.Frame) error {
 		}
 		n.noteRound(seq, time.Since(roundStart))
 		round.EndArgs(traceArgs(f, obs.ArgFlowIn))
-		if !n.cfg.Monolithic {
-			return nil // every chunk already forwarded on completion
-		}
-		sum, weight := n.agg.Sum()
-		n.obs.sent(len(sum))
-		return n.sendUpstream(&cosmicnet.Frame{
-			Type: cosmicnet.MsgGroupAggregate, Seq: seq, From: n.cfg.ID,
-			Weight: weight, Payload: sum, TraceID: traceID,
-		})
+		return nil
 	}
 	return fmt.Errorf("node %d: role %v cannot handle model frames via Run", n.cfg.ID, n.cfg.Role)
 }
@@ -900,28 +837,14 @@ func (n *Node) handleModel(f *cosmicnet.Frame) error {
 // payloads alias vec — nothing is copied.
 func (n *Node) streamUpstream(typ cosmicnet.MsgType, seq uint32, weight float64, vec []float64, traceID uint64) error {
 	count := uint32(ChunksForWords(len(vec), n.chunkWords))
-	if len(vec) == 0 {
+	return CutChunks(seq, n.cfg.ID, vec, weight, n.chunkWords, func(c Chunk) error {
 		return n.sendUpstream(&cosmicnet.Frame{
-			Type: typ, Seq: seq, From: n.cfg.ID, Weight: weight,
-			TraceID: traceID, ChunkIndex: 0, ChunkCount: 1,
+			Type: typ, Seq: c.Seq, From: c.From, Weight: c.Weight,
+			Payload: c.Data, TraceID: traceID,
+			ChunkIndex: uint32(c.Offset / n.chunkWords), ChunkCount: count,
+			ChunkOffset: uint32(c.Offset),
 		})
-	}
-	idx := uint32(0)
-	for off := 0; off < len(vec); off += n.chunkWords {
-		end := off + n.chunkWords
-		if end > len(vec) {
-			end = len(vec)
-		}
-		if err := n.sendUpstream(&cosmicnet.Frame{
-			Type: typ, Seq: seq, From: n.cfg.ID, Weight: weight,
-			Payload: vec[off:end], TraceID: traceID,
-			ChunkIndex: idx, ChunkCount: count, ChunkOffset: uint32(off),
-		}); err != nil {
-			return err
-		}
-		idx++
-	}
-	return nil
+	})
 }
 
 // sendUpstream stamps the frame with a fresh wire span ID when it belongs to
@@ -996,7 +919,6 @@ func (n *Node) broadcastDownstream(f *cosmicnet.Frame) {
 			c.SetWriteDeadline(time.Time{})
 		}
 		if err != nil {
-			n.cfg.logf("node %d: downstream send: %v", n.cfg.ID, err)
 			n.logger.Warn("downstream send failed", "round", out.Seq, "err", err)
 			// A member connection that cannot be written to is dead: prune
 			// it so later broadcasts stop burning a send on it. A rejoining
@@ -1035,6 +957,9 @@ func (n *Node) forwardDone() {
 func (n *Node) Close() {
 	n.closing.Store(true)
 	n.closeOnce.Do(func() { close(n.closeCh) })
+	n.helloMu.Lock()
+	n.helloCond.Broadcast()
+	n.helloMu.Unlock()
 	n.upMu.Lock()
 	if n.upstream != nil {
 		n.upstream.Close()
@@ -1051,11 +976,5 @@ func (n *Node) Close() {
 		c.Close()
 	}
 	n.downstreamMu.Unlock()
-	if n.netPool != nil {
-		n.netPool.Close()
-	}
 	n.wg.Wait()
-	if n.aggPool != nil {
-		n.aggPool.Close()
-	}
 }

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sync"
@@ -8,92 +9,159 @@ import (
 	"time"
 )
 
-// waitChunksTimeoutGuarded runs WaitChunksTimeout under a generous real-time
+// waitCompleteGuarded runs WaitComplete under a generous real-time
 // watchdog: the historical missed-wakeup race left the waiter parked on the
 // condition variable forever, which a plain call would turn into a hung test
 // run instead of a failure.
-func waitChunksTimeoutGuarded(t *testing.T, ab *AggregationBuffer, n int, timeout time.Duration) bool {
+func waitCompleteGuarded(t *testing.T, ab *AggregationBuffer, timeout time.Duration) (bool, error) {
 	t.Helper()
-	done := make(chan bool, 1)
-	go func() { done <- ab.WaitChunksTimeout(n, timeout) }()
+	type result struct {
+		ok  bool
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		ok, err := ab.WaitComplete(timeout, nil)
+		done <- result{ok, err}
+	}()
 	select {
-	case ok := <-done:
-		return ok
+	case r := <-done:
+		return r.ok, r.err
 	case <-time.After(timeout + 10*time.Second):
-		t.Fatal("WaitChunksTimeout never returned: the deadline wakeup was missed")
-		return false
+		t.Fatal("WaitComplete never returned: the wakeup was missed")
+		return false, nil
 	}
 }
 
-// TestWaitChunksTimeoutExpiresQuiet: no chunks ever arrive, so the only
+// TestWaitCompleteTimeoutSemantics exercises the timed wait directly: a
+// round with a silent member times out, a round whose last member arrives
+// completes without consuming the timeout, a zero timeout waits forever,
+// and Fail ends a wait with its error.
+func TestWaitCompleteTimeoutSemantics(t *testing.T) {
+	const n = 16
+	ab := newAggBuffer(t, n, 0, 1, 2)
+	ab.Reset(0)
+	vec := make([]float64, n)
+	start := time.Now()
+	if ok, err := waitCompleteGuarded(t, ab, 50*time.Millisecond); ok || err != nil {
+		t.Errorf("wait on an empty round: ok=%v err=%v, want a timeout", ok, err)
+	}
+	if time.Since(start) < 40*time.Millisecond {
+		t.Error("timed wait returned too early")
+	}
+	// Member 1 delivers; member 2 is still silent, so the round stays open.
+	if err := CutChunks(0, 1, vec, 1, 0, ab.Add); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := waitCompleteGuarded(t, ab, 50*time.Millisecond); ok || err != nil {
+		t.Errorf("wait with a silent member: ok=%v err=%v, want a timeout", ok, err)
+	}
+	// Satisfied waits report true and do not consume the full timeout.
+	go func() {
+		if err := CutChunks(0, 2, vec, 1, 0, ab.Add); err != nil {
+			t.Error(err)
+		}
+	}()
+	start = time.Now()
+	if ok, err := waitCompleteGuarded(t, ab, 5*time.Second); !ok || err != nil {
+		t.Errorf("wait missed an arriving member: ok=%v err=%v", ok, err)
+	}
+	if time.Since(start) >= 5*time.Second {
+		t.Error("satisfied wait consumed the full timeout")
+	}
+	// Zero timeout means wait forever (here: already satisfied).
+	if ok, err := waitCompleteGuarded(t, ab, 0); !ok || err != nil {
+		t.Errorf("zero-timeout wait on a complete round: ok=%v err=%v", ok, err)
+	}
+	// Fail wakes a waiter that would otherwise wait forever.
+	failing := newAggBuffer(t, n, 0, 1, 2)
+	failing.Reset(0)
+	boom := errors.New("boom")
+	go func() {
+		time.Sleep(10 * time.Millisecond)
+		failing.Fail(boom)
+	}()
+	if ok, err := waitCompleteGuarded(t, failing, 0); ok || !errors.Is(err, boom) {
+		t.Errorf("wait on a failed buffer: ok=%v err=%v, want %v", ok, err, boom)
+	}
+}
+
+// TestWaitCompleteTimeoutExpiresQuiet: no chunks ever arrive, so the only
 // wakeup the waiter can get is the watchdog's. Regression for the missed
 // wakeup: a flagless timer broadcast could land while the waiter was between
 // its deadline check and cond.Wait, after which nothing would ever wake it.
-func TestWaitChunksTimeoutExpiresQuiet(t *testing.T) {
-	ab := NewAggregationBuffer(64)
+func TestWaitCompleteTimeoutExpiresQuiet(t *testing.T) {
+	ab := newAggBuffer(t, 64, 0, 1, 2)
+	ab.Reset(0)
 	start := time.Now()
-	if waitChunksTimeoutGuarded(t, ab, 1, 50*time.Millisecond) {
-		t.Fatal("reported chunks arrived on an empty buffer")
+	if ok, err := waitCompleteGuarded(t, ab, 50*time.Millisecond); ok || err != nil {
+		t.Fatalf("wait on a silent round: ok=%v err=%v, want a timeout", ok, err)
 	}
 	if elapsed := time.Since(start); elapsed < 50*time.Millisecond {
 		t.Fatalf("returned after %v, before the %v deadline", elapsed, 50*time.Millisecond)
 	}
 }
 
-// TestWaitChunksTimeoutExpiresUnderBroadcastStorm: concurrent adds broadcast
-// the condition variable continuously while the waiter's target stays
-// unreachable. Every spurious wakeup re-parks the waiter, so the test churns
-// through exactly the window the missed-wakeup race needed: the deadline
-// broadcast must still get through.
-func TestWaitChunksTimeoutExpiresUnderBroadcastStorm(t *testing.T) {
-	const n = 64
-	ab := NewAggregationBuffer(n)
+// TestWaitCompleteTimeoutExpiresUnderBroadcastStorm: the present members'
+// chunks fold, then storm goroutines keep taking the counter lock and
+// broadcasting the condition variable — the wakeup every Add ends with —
+// while a member that never delivers keeps the round unreachable. Every
+// spurious wakeup re-parks the waiter, so the test churns through exactly
+// the window the missed-wakeup race needed: the deadline broadcast must
+// still get through.
+func TestWaitCompleteTimeoutExpiresUnderBroadcastStorm(t *testing.T) {
+	const n, words = 64, 8
+	ab := newAggBuffer(t, n, words, 0, 1, 2, 3, 4)
+	ab.Reset(0)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	vec := make([]float64, n)
-	for w := 0; w < 4; w++ {
+	for id := uint32(0); id < 4; id++ {
 		wg.Add(1)
-		go func(id int) {
+		go func(id uint32) {
 			defer wg.Done()
+			if err := CutChunks(0, id, vec, 1, words, ab.Add); err != nil {
+				t.Error(err)
+				return
+			}
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				for _, c := range SplitIntoChunks(0, uint32(id), vec, 0) {
-					if err := ab.Add(c); err != nil {
-						t.Error(err)
-						return
-					}
-				}
+				ab.wmu.Lock()
+				ab.wmu.Unlock()
+				ab.done.Broadcast()
 			}
-		}(w)
+		}(id)
 	}
-	// The target is unreachably high, so the adds only generate wakeups.
-	if waitChunksTimeoutGuarded(t, ab, 1<<30, 100*time.Millisecond) {
-		t.Error("reported an unreachable chunk target as satisfied")
+	// Member 4 never delivers, so the adds and the storm only generate
+	// wakeups.
+	if ok, err := waitCompleteGuarded(t, ab, 100*time.Millisecond); ok || err != nil {
+		t.Errorf("wait with a silent member: ok=%v err=%v, want a timeout", ok, err)
 	}
 	close(stop)
 	wg.Wait()
 }
 
-// TestWaitChunksTimeoutSatisfied: chunks that do arrive before the deadline
-// report success, with the full chunk count folded.
-func TestWaitChunksTimeoutSatisfied(t *testing.T) {
-	const n = 128
-	ab := NewAggregationBuffer(n)
+// TestWaitCompleteTimeoutSatisfied: chunks that do arrive before the
+// deadline report success, with the full contribution folded.
+func TestWaitCompleteTimeoutSatisfied(t *testing.T) {
+	const n, words = 128, 32
+	ab := newAggBuffer(t, n, words, 1)
+	ab.Reset(0)
 	vec := make([]float64, n)
 	for i := range vec {
 		vec[i] = 1
 	}
 	go func() {
-		for _, c := range SplitIntoChunks(0, 1, vec, 1) {
-			ab.Add(c)
+		if err := CutChunks(0, 1, vec, 1, words, ab.Add); err != nil {
+			t.Error(err)
 		}
 	}()
-	if !waitChunksTimeoutGuarded(t, ab, ChunksFor(n), 10*time.Second) {
-		t.Fatal("timed out waiting for chunks that were delivered")
+	if ok, err := waitCompleteGuarded(t, ab, 10*time.Second); !ok || err != nil {
+		t.Fatalf("wait for chunks that were delivered: ok=%v err=%v", ok, err)
 	}
 	sum, w := ab.Sum()
 	if w != 1 || sum[0] != 1 {
@@ -118,17 +186,14 @@ func quorumMemberVec(id uint32, n int) []float64 {
 // folded sum and weight.
 func foldQuorum(t *testing.T, n, words int, seed int64, excludeFirst bool) ([]float64, float64) {
 	t.Helper()
-	ab := NewAggregationBufferChunked(n, words)
-	if err := ab.SetMembers([]uint32{1, 2, 3, 4, 5}); err != nil {
-		t.Fatal(err)
-	}
+	ab := newAggBuffer(t, n, words, 1, 2, 3, 4, 5)
 	ab.Reset(7)
 	if excludeFirst {
 		ab.Exclude([]uint32{2, 4})
 	}
 	var chunks []Chunk
 	for _, id := range []uint32{1, 3, 5} {
-		chunks = append(chunks, SplitIntoChunksWords(7, id, quorumMemberVec(id, n), 1, words)...)
+		chunks = append(chunks, splitChunks(7, id, quorumMemberVec(id, n), 1, words)...)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	rng.Shuffle(len(chunks), func(i, j int) { chunks[i], chunks[j] = chunks[j], chunks[i] })
@@ -191,10 +256,7 @@ func TestQuorumFoldDeterministicConcurrent(t *testing.T) {
 	const n, words = 300, 64
 	ref, _ := foldQuorum(t, n, words, 1, false)
 	for run := 0; run < 4; run++ {
-		ab := NewAggregationBufferChunked(n, words)
-		if err := ab.SetMembers([]uint32{1, 2, 3, 4, 5}); err != nil {
-			t.Fatal(err)
-		}
+		ab := newAggBuffer(t, n, words, 1, 2, 3, 4, 5)
 		ab.Reset(7)
 		ab.Exclude([]uint32{2, 4})
 		var wg sync.WaitGroup
@@ -202,7 +264,7 @@ func TestQuorumFoldDeterministicConcurrent(t *testing.T) {
 			wg.Add(1)
 			go func(id uint32) {
 				defer wg.Done()
-				for _, c := range SplitIntoChunksWords(7, id, quorumMemberVec(id, n), 1, words) {
+				for _, c := range splitChunks(7, id, quorumMemberVec(id, n), 1, words) {
 					if err := ab.Add(c); err != nil {
 						t.Error(err)
 					}
@@ -228,20 +290,17 @@ func TestQuorumFoldDeterministicConcurrent(t *testing.T) {
 // and a member with only part of its chunks stays missing.
 func TestQuorumStatusCensus(t *testing.T) {
 	const n, words = 300, 64
-	ab := NewAggregationBufferChunked(n, words)
-	if err := ab.SetMembers([]uint32{1, 2, 3, 4, 5}); err != nil {
-		t.Fatal(err)
-	}
+	ab := newAggBuffer(t, n, words, 1, 2, 3, 4, 5)
 	ab.Reset(3)
 	for _, id := range []uint32{1, 5} {
-		for _, c := range SplitIntoChunksWords(3, id, quorumMemberVec(id, n), 1, words) {
+		for _, c := range splitChunks(3, id, quorumMemberVec(id, n), 1, words) {
 			if err := ab.Add(c); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	// Member 3 delivers only its first chunk: started, not present.
-	partial := SplitIntoChunksWords(3, 3, quorumMemberVec(3, n), 1, words)
+	partial := splitChunks(3, 3, quorumMemberVec(3, n), 1, words)
 	if err := ab.Add(partial[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -267,21 +326,18 @@ func TestQuorumStatusCensus(t *testing.T) {
 // the sequence filter.
 func TestExcludedMemberTrafficDiscarded(t *testing.T) {
 	const n, words = 300, 64
-	ab := NewAggregationBufferChunked(n, words)
-	if err := ab.SetMembers([]uint32{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
+	ab := newAggBuffer(t, n, words, 1, 2, 3)
 	ab.Reset(9)
 	// Member 2's chunks park (rank 1 waits on rank 0), then the exclusion
 	// sweep must discard them.
-	for _, c := range SplitIntoChunksWords(9, 2, quorumMemberVec(2, n), 1, words) {
+	for _, c := range splitChunks(9, 2, quorumMemberVec(2, n), 1, words) {
 		if err := ab.Add(c); err != nil {
 			t.Fatal(err)
 		}
 	}
 	ab.Exclude([]uint32{2})
 	for _, id := range []uint32{1, 3} {
-		for _, c := range SplitIntoChunksWords(9, id, quorumMemberVec(id, n), 1, words) {
+		for _, c := range splitChunks(9, id, quorumMemberVec(id, n), 1, words) {
 			if err := ab.Add(c); err != nil {
 				t.Fatal(err)
 			}
@@ -289,12 +345,12 @@ func TestExcludedMemberTrafficDiscarded(t *testing.T) {
 	}
 	// Late traffic from the excluded member, and a stale round's chunk, both
 	// vanish without error.
-	for _, c := range SplitIntoChunksWords(9, 2, quorumMemberVec(2, n), 1, words) {
+	for _, c := range splitChunks(9, 2, quorumMemberVec(2, n), 1, words) {
 		if err := ab.Add(c); err != nil {
 			t.Fatal(err)
 		}
 	}
-	stale := SplitIntoChunksWords(8, 1, quorumMemberVec(1, n), 1, words)
+	stale := splitChunks(8, 1, quorumMemberVec(1, n), 1, words)
 	if err := ab.Add(stale[0]); err != nil {
 		t.Fatal(err)
 	}

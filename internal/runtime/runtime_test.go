@@ -13,6 +13,27 @@ import (
 	"repro/internal/ml"
 )
 
+// newAggBuffer builds an aggregation buffer over the given members,
+// failing the test on a bad member set.
+func newAggBuffer(t testing.TB, n, words int, members ...uint32) *AggregationBuffer {
+	t.Helper()
+	ab, err := NewAggregationBufferChunked(n, words, members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ab
+}
+
+// splitChunks collects the chunks CutChunks cuts vec into.
+func splitChunks(seq, from uint32, vec []float64, weight float64, words int) []Chunk {
+	var out []Chunk
+	CutChunks(seq, from, vec, weight, words, func(c Chunk) error {
+		out = append(out, c)
+		return nil
+	})
+	return out
+}
+
 func TestCircularBufferFIFO(t *testing.T) {
 	cb := NewCircularBuffer(4)
 	for i := 0; i < 4; i++ {
@@ -91,7 +112,11 @@ func TestCircularBufferConcurrent(t *testing.T) {
 
 func TestAggregationBufferConcurrentSum(t *testing.T) {
 	const n, contributors = 5000, 10
-	ab := NewAggregationBuffer(n)
+	members := make([]uint32, contributors)
+	for i := range members {
+		members[i] = uint32(i)
+	}
+	ab := newAggBuffer(t, n, 0, members...)
 	vec := make([]float64, n)
 	for i := range vec {
 		vec[i] = float64(i % 17)
@@ -101,26 +126,23 @@ func TestAggregationBufferConcurrentSum(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			for _, ch := range SplitIntoChunks(0, uint32(id), vec, 1) {
-				if err := ab.Add(ch); err != nil {
-					t.Error(err)
-				}
+			if err := CutChunks(0, uint32(id), vec, 1, 0, ab.Add); err != nil {
+				t.Error(err)
 			}
 		}(c)
 	}
 	wg.Wait()
-	ab.WaitChunks(contributors * ChunksFor(n))
-	mean, w := ab.WeightedMean()
+	if ok, err := ab.WaitComplete(5*time.Second, nil); !ok || err != nil {
+		t.Fatalf("fold incomplete: ok=%v err=%v", ok, err)
+	}
+	sum, w := ab.Sum()
 	if w != contributors {
 		t.Fatalf("weight %g, want %d", w, contributors)
 	}
 	for i := range vec {
-		if math.Abs(mean[i]-vec[i]) > 1e-12 {
-			t.Fatalf("mean[%d] = %g, want %g", i, mean[i], vec[i])
+		if mean := sum[i] / w; math.Abs(mean-vec[i]) > 1e-12 {
+			t.Fatalf("mean[%d] = %g, want %g", i, mean, vec[i])
 		}
-	}
-	if ab.Contributions() != contributors {
-		t.Errorf("contributions %d", ab.Contributions())
 	}
 	ab.Reset(0)
 	if _, w := ab.Sum(); w != 0 {
@@ -134,13 +156,16 @@ func TestSplitIntoChunksProperties(t *testing.T) {
 		for i := range vec {
 			vec[i] = float64(i)
 		}
-		chunks := SplitIntoChunks(3, 7, vec, 2)
-		if len(chunks) != ChunksFor(len(vec)) {
+		chunks := splitChunks(3, 7, vec, 2, ChunkSize)
+		if len(chunks) != ChunksForWords(len(vec), ChunkSize) {
 			return false
 		}
 		lastSeen := 0
 		covered := 0
 		for i, c := range chunks {
+			if c.Offset != covered || c.Offset%ChunkSize != 0 {
+				return false
+			}
 			covered += len(c.Data)
 			if c.Seq != 3 || c.From != 7 || c.Weight != 2 {
 				return false
@@ -382,23 +407,6 @@ func TestFlattenModelRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPoolRunsAllTasks(t *testing.T) {
-	p := NewPool(3)
-	var mu sync.Mutex
-	count := 0
-	for i := 0; i < 100; i++ {
-		p.Submit(func() {
-			mu.Lock()
-			count++
-			mu.Unlock()
-		})
-	}
-	p.Close()
-	if count != 100 {
-		t.Errorf("ran %d tasks, want 100", count)
-	}
-}
-
 // TestRoundTimeoutSurfacesDeadNode: with a bounded round, killing a Delta
 // turns into a prompt training error instead of a wedged cluster.
 func TestRoundTimeoutSurfacesDeadNode(t *testing.T) {
@@ -443,29 +451,6 @@ func TestRoundTimeoutSurfacesDeadNode(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("training wedged: round timeout did not fire")
-	}
-}
-
-// TestWaitChunksTimeoutSemantics exercises the timed wait directly.
-func TestWaitChunksTimeoutSemantics(t *testing.T) {
-	ab := NewAggregationBuffer(16)
-	start := time.Now()
-	if ab.WaitChunksTimeout(1, 50*time.Millisecond) {
-		t.Error("wait reported success with no chunks")
-	}
-	if time.Since(start) < 40*time.Millisecond {
-		t.Error("timed wait returned too early")
-	}
-	// Satisfied waits report true and do not consume the full timeout.
-	go func() {
-		ab.Add(Chunk{Data: []float64{1}, Weight: 1, Last: true})
-	}()
-	if !ab.WaitChunksTimeout(1, 2*time.Second) {
-		t.Error("wait missed an arriving chunk")
-	}
-	// Zero timeout means wait forever (here: already satisfied).
-	if !ab.WaitChunksTimeout(1, 0) {
-		t.Error("zero-timeout wait failed on satisfied condition")
 	}
 }
 

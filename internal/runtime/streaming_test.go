@@ -1,19 +1,23 @@
 package runtime
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/cosmicnet"
 	"repro/internal/dsl"
 	"repro/internal/ml"
 )
 
-// TestOrderedFoldArrivalOrderInvariant: in ordered mode the accumulated sum
-// is a pure function of the member set — bitwise identical no matter how
-// chunk arrivals interleave — and every chunk index completes exactly once
-// with the full member weight.
+// TestOrderedFoldArrivalOrderInvariant: the accumulated sum is a pure
+// function of the member set — bitwise identical no matter how chunk
+// arrivals interleave — and every chunk index completes exactly once with
+// the full member weight.
 func TestOrderedFoldArrivalOrderInvariant(t *testing.T) {
 	const n, words = 1000, 64
 	members := []uint32{2, 5, 9}
@@ -28,10 +32,7 @@ func TestOrderedFoldArrivalOrderInvariant(t *testing.T) {
 	}
 
 	run := func(shuffleSeed int64) []float64 {
-		ab := NewAggregationBufferChunked(n, words)
-		if err := ab.SetMembers(members); err != nil {
-			t.Fatal(err)
-		}
+		ab := newAggBuffer(t, n, words, members...)
 		completed := make(map[int]float64)
 		ab.SetOnComplete(func(idx int, span []float64, weight float64) {
 			if _, dup := completed[idx]; dup {
@@ -41,7 +42,7 @@ func TestOrderedFoldArrivalOrderInvariant(t *testing.T) {
 		})
 		var chunks []Chunk
 		for _, id := range members {
-			chunks = append(chunks, SplitIntoChunksWords(0, id, vecs[id], 1, words)...)
+			chunks = append(chunks, splitChunks(0, id, vecs[id], 1, words)...)
 		}
 		rand.New(rand.NewSource(shuffleSeed)).Shuffle(len(chunks), func(i, j int) {
 			chunks[i], chunks[j] = chunks[j], chunks[i]
@@ -81,13 +82,10 @@ func TestOrderedFoldArrivalOrderInvariant(t *testing.T) {
 	}
 }
 
-// TestOrderedFoldRejectsOffBoundaryChunks: ordered mode insists on the fixed
+// TestOrderedFoldRejectsOffBoundaryChunks: the fold insists on the fixed
 // boundaries the determinism argument depends on.
 func TestOrderedFoldRejectsOffBoundaryChunks(t *testing.T) {
-	ab := NewAggregationBufferChunked(256, 64)
-	if err := ab.SetMembers([]uint32{1}); err != nil {
-		t.Fatal(err)
-	}
+	ab := newAggBuffer(t, 256, 64, 1)
 	if err := ab.Add(Chunk{From: 1, Offset: 32, Data: make([]float64, 64)}); err == nil {
 		t.Error("off-boundary offset accepted")
 	}
@@ -105,29 +103,24 @@ func TestOrderedFoldRejectsOffBoundaryChunks(t *testing.T) {
 	}
 }
 
-// TestOrderedFoldAllocs: the local-contribution path — splitting a partial
+// TestOrderedFoldAllocs: the local-contribution path — cutting a partial
 // into aliasing chunks and folding them in order — must not allocate per
-// element or per chunk (one slice header for the split is the budget).
+// element or per chunk (at most one object per contribution).
 func TestOrderedFoldAllocs(t *testing.T) {
 	const n, words = 1 << 14, 1024
-	ab := NewAggregationBufferChunked(n, words)
-	if err := ab.SetMembers([]uint32{0}); err != nil {
-		t.Fatal(err)
-	}
+	ab := newAggBuffer(t, n, words, 0)
 	vec := make([]float64, n)
 	for i := range vec {
 		vec[i] = float64(i)
 	}
 	avg := testing.AllocsPerRun(100, func() {
 		ab.Reset(0)
-		for _, c := range SplitIntoChunksWords(0, 0, vec, 1, words) {
-			if err := ab.Add(c); err != nil {
-				t.Fatal(err)
-			}
+		if err := CutChunks(0, 0, vec, 1, words, ab.Add); err != nil {
+			t.Fatal(err)
 		}
 	})
 	if avg > 1.5 {
-		t.Errorf("local fold allocates %.1f objects per contribution, want <= 1 (the chunk-slice header)", avg)
+		t.Errorf("local fold allocates %.1f objects per contribution, want <= 1", avg)
 	}
 }
 
@@ -150,13 +143,13 @@ func (e *jitterEngine) PartialUpdate(model []float64, shard []ml.Sample) ([]floa
 	return e.inner.PartialUpdate(model, shard)
 }
 
-// TestStreamingMatchesMonolithicBitwise is the streaming pipeline's
-// differential test: across two model families, two chunk boundaries,
-// monolithic whole-vector frames, and shuffled member arrival orders, a
-// hierarchical cluster must train to the bitwise-identical model. The
-// ordered member-rank fold is what makes this hold exactly, not just to
-// floating-point tolerance.
-func TestStreamingMatchesMonolithicBitwise(t *testing.T) {
+// TestStreamingChunkSizesBitwise is the streaming pipeline's differential
+// test: across two model families, chunk boundaries from many chunks per
+// contribution down to one chunk holding the whole vector, and shuffled
+// member arrival orders, a hierarchical cluster must train to the
+// bitwise-identical model. The ordered member-rank fold is what makes this
+// hold exactly, not just to floating-point tolerance.
+func TestStreamingChunkSizesBitwise(t *testing.T) {
 	const nodes, groups, rounds = 6, 2, 3
 	algs := []struct {
 		name   string
@@ -187,7 +180,7 @@ func TestStreamingMatchesMonolithicBitwise(t *testing.T) {
 			}
 			model := alg.InitModel(rand.New(rand.NewSource(5)))
 
-			run := func(chunkWords int, monolithic bool, delaySeed int64) []float64 {
+			run := func(chunkWords int, delaySeed int64) []float64 {
 				cl, err := Launch(ClusterOptions{
 					Nodes: nodes, Groups: groups,
 					Engines: func(id int) Engine {
@@ -202,7 +195,6 @@ func TestStreamingMatchesMonolithicBitwise(t *testing.T) {
 					LR:         0.01,
 					MiniBatch:  nodes * 4,
 					ChunkWords: chunkWords,
-					Monolithic: monolithic,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -218,19 +210,20 @@ func TestStreamingMatchesMonolithicBitwise(t *testing.T) {
 				return got
 			}
 
-			want := run(64, false, 100)
+			want := run(64, 100)
+			if size := alg.ModelSize(); size > 1024 {
+				t.Fatalf("model of %d words does not fit the one-chunk variant", size)
+			}
 			variants := []struct {
 				label      string
 				chunkWords int
-				monolithic bool
 				delaySeed  int64
 			}{
-				{"chunk-64/reshuffled", 64, false, 900},
-				{"chunk-1024", 1024, false, 300},
-				{"monolithic", 0, true, 500},
+				{"chunk-64/reshuffled", 64, 900},
+				{"chunk-1024/one-chunk", 1024, 300},
 			}
 			for _, v := range variants {
-				got := run(v.chunkWords, v.monolithic, v.delaySeed)
+				got := run(v.chunkWords, v.delaySeed)
 				for i := range want {
 					if got[i] != want[i] {
 						t.Fatalf("%s: w[%d] = %.17g, want bitwise %.17g",
@@ -264,5 +257,74 @@ func TestChunkWordsValidation(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("non-power-of-two ChunkWords accepted")
+	}
+}
+
+// TestSigmaRejectsUnchunkedContribution: contributions travel only as
+// fixed-boundary chunk frames. A whole-vector MsgPartial or
+// MsgGroupAggregate sent over a raw connection to a running Sigma folds
+// nothing: the node fails with an error naming the frame type and the
+// sender, and the round it was waiting on ends with that error instead of
+// hanging.
+func TestSigmaRejectsUnchunkedContribution(t *testing.T) {
+	const rogue = 7
+	alg := &ml.LinearRegression{M: 4}
+	size := alg.ModelSize()
+	for _, typ := range []cosmicnet.MsgType{cosmicnet.MsgPartial, cosmicnet.MsgGroupAggregate} {
+		t.Run(typ.String(), func(t *testing.T) {
+			master, err := StartNode(NodeConfig{
+				ID: 0, Role: RoleMasterSigma, MemberIDs: []uint32{0, rogue},
+				Engine:    &RefEngine{Alg: alg, Threads: 1, LR: 0.01, Agg: dsl.AggAverage},
+				ModelSize: size, Agg: dsl.AggAverage, LR: 0.01, ShardBatch: 1,
+				DiagDir: t.TempDir(),
+			}, []ml.Sample{{X: make([]float64, alg.M), Y: []float64{1}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer master.Close()
+			conn, err := cosmicnet.Dial(master.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if err := conn.Send(&cosmicnet.Frame{Type: cosmicnet.MsgHello, From: rogue}); err != nil {
+				t.Fatal(err)
+			}
+			master.WaitMembers(1)
+
+			done := make(chan error, 1)
+			go func() {
+				_, _, err := master.DriveTraining(DriveConfig{
+					Groups: 1, ModelSize: size, Agg: dsl.AggAverage, LR: 0.01, MiniBatch: 2,
+				}, make([]float64, size), 1)
+				done <- err
+			}()
+			var model cosmicnet.Frame
+			if err := conn.Recv(&model); err != nil || model.Type != cosmicnet.MsgModel {
+				t.Fatalf("waiting for the model broadcast: %v %v", model.Type, err)
+			}
+			if err := conn.Send(&cosmicnet.Frame{
+				Type: typ, Seq: model.Seq, From: rogue, Weight: 1, Payload: make([]float64, size),
+			}); err != nil {
+				t.Fatal(err)
+			}
+
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Fatal("round completed on an unchunked contribution")
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("the Sigma hung on an unchunked contribution")
+			}
+			want := fmt.Sprintf("unchunked %v frame from %d", typ, rogue)
+			if err := master.Err(); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("node error %v, want one containing %q", err, want)
+			}
+			present, _, missing := master.agg.QuorumStatus()
+			if slices.Contains(present, rogue) || !slices.Contains(missing, rogue) {
+				t.Fatalf("census present=%v missing=%v: the unchunked frame was folded", present, missing)
+			}
+		})
 	}
 }

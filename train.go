@@ -59,12 +59,9 @@ type ClusterConfig struct {
 	// ChunkWords is the streaming-chunk boundary in vector elements (0 =
 	// the runtime default; must be a power of two). Partials and group
 	// aggregates travel the wire as sub-vector chunk frames cut on this
-	// boundary and fold on arrival.
+	// boundary and fold on arrival. A boundary at or above the model size
+	// ships each contribution as one chunk.
 	ChunkWords int
-	// Monolithic disables streaming and ships whole-vector frames, as
-	// pre-streaming builds did. Training results are bit-identical either
-	// way.
-	Monolithic bool
 	// RoundTimeout bounds each aggregation round (0 = wait forever).
 	RoundTimeout time.Duration
 	// MinQuorum, when > 0, turns a round timeout into exclude-and-continue:
@@ -157,7 +154,6 @@ func Train(alg Algorithm, data []Sample, model []float64, cfg ClusterConfig) (Tr
 		LR:           cfg.LearningRate,
 		MiniBatch:    cfg.MiniBatch,
 		ChunkWords:   cfg.ChunkWords,
-		Monolithic:   cfg.Monolithic,
 		RoundTimeout: cfg.RoundTimeout,
 		MinQuorum:    cfg.MinQuorum,
 		Obs:          cfg.Obs,
