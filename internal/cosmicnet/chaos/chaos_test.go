@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -400,5 +401,65 @@ func TestLastMatchingLinkRuleWins(t *testing.T) {
 	g := sched.faultsFor("c", "b")
 	if g.rule.Drop != 1 {
 		t.Fatalf("wildcard rule lost: %+v", g.rule)
+	}
+}
+
+// TestConcurrentSendsStayFramed: a chaos conn takes each frame as separate
+// header and payload writes, so concurrent senders on one conn must not
+// interleave them. Every frame must arrive whole and decode to what its
+// sender wrote.
+func TestConcurrentSendsStayFramed(t *testing.T) {
+	const senders, perSender, words = 4, 50, 1000
+	nw := NewNetwork(nil, nil)
+	addr, got := startEcho(t, nw, "sigma")
+	conn, err := nw.Endpoint("worker").Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	value := func(from, seq uint32, i int) float64 {
+		return float64(from)*1e6 + float64(seq)*1e3 + float64(i)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, senders)
+	for s := uint32(0); s < senders; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p := make([]float64, words)
+			for seq := uint32(0); seq < perSender; seq++ {
+				for i := range p {
+					p[i] = value(s, seq, i)
+				}
+				if err := conn.Send(&cosmicnet.Frame{
+					Type: cosmicnet.MsgPartial, Seq: seq, From: s, Weight: 1, Payload: p,
+					ChunkIndex: 0, ChunkCount: 1,
+				}); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	next := make([]uint32, senders)
+	for n := 0; n < senders*perSender; n++ {
+		f := <-got
+		if f == nil {
+			t.Fatalf("stream broke after %d frames", n)
+		}
+		if f.From >= senders || f.Seq != next[f.From] || len(f.Payload) != words {
+			t.Fatalf("frame %d: from %d seq %d with %d words", n, f.From, f.Seq, len(f.Payload))
+		}
+		for i, v := range f.Payload {
+			if v != value(f.From, f.Seq, i) {
+				t.Fatalf("frame from %d seq %d: payload[%d] = %g", f.From, f.Seq, i, v)
+			}
+		}
+		next[f.From]++
 	}
 }

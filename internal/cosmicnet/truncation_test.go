@@ -55,8 +55,8 @@ func TestTruncationAtEveryOffset(t *testing.T) {
 
 // TestTruncatedReadReturnsPoolBuffer: the error path of a truncated body
 // read must still return its staging buffer to the pool. A leak would force
-// a fresh multi-KB allocation on every failed read (≥2 allocs per attempt);
-// with the pool intact only the fixed length-prefix scratch allocates (1).
+// a fresh pool buffer on every failed read (≥2 allocs per attempt); with the
+// pool intact only the decoded text string allocates (1).
 func TestTruncatedReadReturnsPoolBuffer(t *testing.T) {
 	var enc bytes.Buffer
 	if err := WriteFrame(&enc, fullFeatureFrame()); err != nil {

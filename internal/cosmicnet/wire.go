@@ -202,9 +202,14 @@ func WriteFrame(w io.Writer, f *Frame) error {
 	return writeFrame(w, f, nil)
 }
 
-// writeFrame encodes and writes one frame. When sent is non-nil the frame's
-// bytes are added to it before the write (and any unwritten tail taken back
-// after), so a peer can never have counted bytes the sender has not.
+// writeFrame encodes and writes one frame. The header, extensions and text
+// go into a pooled buffer; the payload goes out straight from the vector's
+// memory, in the same vectored write (writev on TCP). When sent
+// is non-nil the frame's bytes are added to it before the write (and any
+// unwritten tail taken back after), so a peer can never have counted bytes
+// the sender has not. A writer that cannot take vectored writes sees one
+// frame as two Writes, so concurrent senders must serialize (Conn.Send
+// does).
 func writeFrame(w io.Writer, f *Frame, sent *atomic.Int64) error {
 	traced := f.TraceID != 0 || f.SpanID != 0
 	chunked := f.ChunkCount > 0
@@ -222,12 +227,11 @@ func writeFrame(w io.Writer, f *Frame, sent *atomic.Int64) error {
 		ext += chunkExtBytes
 	}
 	textLen := len(f.Text)
-	payloadLen := len(f.Payload) * 8
-	total := headerBytes + ext + textLen + payloadLen
-	if int64(total) > frameCap.Load() {
+	total := int64(headerBytes+ext+textLen) + int64(len(f.Payload))*8
+	if total > frameCap.Load() {
 		return fmt.Errorf("cosmicnet: frame of %d bytes exceeds limit %d", total, FrameCap())
 	}
-	bp := getBuf(4 + total)
+	bp := getBuf(4 + headerBytes + ext + textLen)
 	defer putBuf(bp)
 	buf := *bp
 	binary.LittleEndian.PutUint32(buf[0:], uint32(total))
@@ -244,7 +248,7 @@ func writeFrame(w io.Writer, f *Frame, sent *atomic.Int64) error {
 	binary.LittleEndian.PutUint64(buf[13:], math.Float64bits(f.Weight))
 	binary.LittleEndian.PutUint32(buf[21:], uint32(textLen))
 	binary.LittleEndian.PutUint32(buf[25:], uint32(len(f.Payload)))
-	off := 29
+	off := 4 + headerBytes
 	if traced {
 		binary.LittleEndian.PutUint64(buf[off:], f.TraceID)
 		binary.LittleEndian.PutUint64(buf[off+8:], f.SpanID)
@@ -254,21 +258,15 @@ func writeFrame(w io.Writer, f *Frame, sent *atomic.Int64) error {
 		binary.LittleEndian.PutUint32(buf[off:], f.ChunkIndex)
 		binary.LittleEndian.PutUint32(buf[off+4:], f.ChunkCount)
 		binary.LittleEndian.PutUint32(buf[off+8:], f.ChunkOffset)
-		off += chunkExtBytes
 	}
-	copy(buf[off:], f.Text)
-	off += textLen
-	for _, v := range f.Payload {
-		binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(v))
-		off += 8
-	}
+	copy(buf[len(buf)-textLen:], f.Text)
 	if sent == nil {
-		_, err := w.Write(buf)
+		_, err := writeFramed(w, buf, f.Payload)
 		return err
 	}
-	sent.Add(int64(len(buf)))
-	n, err := w.Write(buf)
-	sent.Add(int64(n - len(buf)))
+	sent.Add(4 + total)
+	n, err := writeFramed(w, buf, f.Payload)
+	sent.Add(n - (4 + total))
 	return err
 }
 
@@ -280,26 +278,28 @@ func ReadFrame(r io.Reader, f *Frame) error {
 	return err
 }
 
-// readFrameInto reports the bytes consumed.
+// readFrameInto reports the bytes consumed. The length prefix, header,
+// extensions and text land in one pooled staging buffer; the payload bytes
+// are read straight into f.Payload, and only once the frame has passed
+// every check.
 func readFrameInto(r io.Reader, f *Frame) (int, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+	bp := getBuf(4 + headerBytes)
+	defer putBuf(bp)
+	// A frame shorter than the fixed header is corrupt, so reading the
+	// prefix and header together never waits on bytes of the next frame.
+	if _, err := io.ReadFull(r, *bp); err != nil {
 		return 0, err
 	}
-	total := binary.LittleEndian.Uint32(lenBuf[:])
+	buf := *bp
+	total := binary.LittleEndian.Uint32(buf)
 	// Bound the length prefix before allocating anything: a corrupt peer
 	// must not be able to induce an arbitrarily large allocation.
 	if total < headerBytes || int64(total) > frameCap.Load() {
-		return 4, fmt.Errorf("cosmicnet: bad frame length %d (cap %d)", total, FrameCap())
+		return 4 + headerBytes, fmt.Errorf("cosmicnet: bad frame length %d (cap %d)", total, FrameCap())
 	}
-	bp := getBuf(int(total))
-	defer putBuf(bp)
-	buf := *bp
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 4, err
-	}
-	traced := buf[0]&flagTrace != 0
-	chunked := buf[0]&flagChunk != 0
+	hdr := buf[4:]
+	traced := hdr[0]&flagTrace != 0
+	chunked := hdr[0]&flagChunk != 0
 	ext := 0
 	if traced {
 		ext += traceExtBytes
@@ -307,38 +307,48 @@ func readFrameInto(r io.Reader, f *Frame) (int, error) {
 	if chunked {
 		ext += chunkExtBytes
 	}
-	f.Type = MsgType(buf[0] &^ flagMask)
-	f.Seq = binary.LittleEndian.Uint32(buf[1:])
-	f.From = binary.LittleEndian.Uint32(buf[5:])
-	f.Weight = math.Float64frombits(binary.LittleEndian.Uint64(buf[9:]))
-	textLen := binary.LittleEndian.Uint32(buf[17:])
-	payloadLen := binary.LittleEndian.Uint32(buf[21:])
+	textLen := binary.LittleEndian.Uint32(hdr[17:])
+	payloadLen := binary.LittleEndian.Uint32(hdr[21:])
 	// The consistency check is done in 64-bit arithmetic: payloadLen*8 in
 	// uint32 can wrap (e.g. payloadLen = 2^29) and match total, which would
-	// send the decode loop out of bounds.
-	if int64(len(buf)) != int64(headerBytes)+int64(ext)+int64(textLen)+int64(payloadLen)*8 {
-		return 4 + int(total), fmt.Errorf("cosmicnet: inconsistent frame: total %d, ext %d, text %d, payload %d",
+	// size the payload read past the frame.
+	if int64(total) != int64(headerBytes)+int64(ext)+int64(textLen)+int64(payloadLen)*8 {
+		return 4 + headerBytes, fmt.Errorf("cosmicnet: inconsistent frame: total %d, ext %d, text %d, payload %d",
 			total, ext, textLen, payloadLen)
 	}
-	off := headerBytes
+	f.Type = MsgType(hdr[0] &^ flagMask)
+	f.Seq = binary.LittleEndian.Uint32(hdr[1:])
+	f.From = binary.LittleEndian.Uint32(hdr[5:])
+	f.Weight = math.Float64frombits(binary.LittleEndian.Uint64(hdr[9:]))
+	// Extensions and text follow; the staging buffer takes them over the
+	// decoded header.
+	rest := ext + int(textLen)
+	read := 4 + headerBytes + rest
+	if cap(buf) < rest {
+		*bp = make([]byte, rest)
+	}
+	tail := (*bp)[:rest]
+	if _, err := io.ReadFull(r, tail); err != nil {
+		return 4 + headerBytes, err
+	}
+	off := 0
 	f.TraceID, f.SpanID = 0, 0
 	if traced {
-		f.TraceID = binary.LittleEndian.Uint64(buf[off:])
-		f.SpanID = binary.LittleEndian.Uint64(buf[off+8:])
+		f.TraceID = binary.LittleEndian.Uint64(tail[off:])
+		f.SpanID = binary.LittleEndian.Uint64(tail[off+8:])
 		off += traceExtBytes
 	}
 	f.ChunkIndex, f.ChunkCount, f.ChunkOffset = 0, 0, 0
 	if chunked {
-		f.ChunkIndex = binary.LittleEndian.Uint32(buf[off:])
-		f.ChunkCount = binary.LittleEndian.Uint32(buf[off+4:])
-		f.ChunkOffset = binary.LittleEndian.Uint32(buf[off+8:])
+		f.ChunkIndex = binary.LittleEndian.Uint32(tail[off:])
+		f.ChunkCount = binary.LittleEndian.Uint32(tail[off+4:])
+		f.ChunkOffset = binary.LittleEndian.Uint32(tail[off+8:])
 		off += chunkExtBytes
 		if f.ChunkCount == 0 || f.ChunkIndex >= f.ChunkCount {
-			return 4 + int(total), fmt.Errorf("cosmicnet: bad chunk extension: index %d, count %d", f.ChunkIndex, f.ChunkCount)
+			return read, fmt.Errorf("cosmicnet: bad chunk extension: index %d, count %d", f.ChunkIndex, f.ChunkCount)
 		}
 	}
-	f.Text = string(buf[off : off+int(textLen)])
-	off += int(textLen)
+	f.Text = string(tail[off:])
 	n := int(payloadLen)
 	if f.Payload == nil || cap(f.Payload) < n {
 		// make([]float64, 0) is allocation-free and non-nil, keeping decoded
@@ -347,9 +357,8 @@ func readFrameInto(r io.Reader, f *Frame) (int, error) {
 	} else {
 		f.Payload = f.Payload[:n]
 	}
-	for i := range f.Payload {
-		f.Payload[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-		off += 8
+	if err := readPayload(r, f.Payload); err != nil {
+		return read, err
 	}
 	return 4 + int(total), nil
 }
@@ -358,6 +367,9 @@ func readFrameInto(r io.Reader, f *Frame) (int, error) {
 // communication-volume numbers Figures 13/14 reason about).
 type Conn struct {
 	net.Conn
+	// sendMu keeps each frame's bytes contiguous on the stream: a frame
+	// is two Writes on a conn that cannot take vectored writes.
+	sendMu         sync.Mutex
 	sent, received atomic.Int64
 }
 
@@ -370,8 +382,11 @@ func Dial(addr string) (*Conn, error) {
 	return &Conn{Conn: c}, nil
 }
 
-// Send writes one frame.
+// Send writes one frame. It is safe for concurrent use; frames from
+// concurrent senders go out whole, one after another.
 func (c *Conn) Send(f *Frame) error {
+	c.sendMu.Lock()
+	defer c.sendMu.Unlock()
 	return writeFrame(c.Conn, f, &c.sent)
 }
 

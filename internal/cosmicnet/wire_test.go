@@ -20,6 +20,172 @@ func decode(r io.Reader) (*Frame, error) {
 	return f, nil
 }
 
+// encodeOracle is the per-element frame encoder the writer replaced: the
+// whole frame, payload included, built element by element into one buffer.
+// The writer must produce exactly its bytes.
+func encodeOracle(f *Frame) []byte {
+	traced := f.TraceID != 0 || f.SpanID != 0
+	chunked := f.ChunkCount > 0
+	ext := 0
+	if traced {
+		ext += traceExtBytes
+	}
+	if chunked {
+		ext += chunkExtBytes
+	}
+	total := headerBytes + ext + len(f.Text) + len(f.Payload)*8
+	buf := make([]byte, 4+total)
+	binary.LittleEndian.PutUint32(buf[0:], uint32(total))
+	typeByte := byte(f.Type)
+	if traced {
+		typeByte |= flagTrace
+	}
+	if chunked {
+		typeByte |= flagChunk
+	}
+	buf[4] = typeByte
+	binary.LittleEndian.PutUint32(buf[5:], f.Seq)
+	binary.LittleEndian.PutUint32(buf[9:], f.From)
+	binary.LittleEndian.PutUint64(buf[13:], math.Float64bits(f.Weight))
+	binary.LittleEndian.PutUint32(buf[21:], uint32(len(f.Text)))
+	binary.LittleEndian.PutUint32(buf[25:], uint32(len(f.Payload)))
+	off := 29
+	if traced {
+		binary.LittleEndian.PutUint64(buf[off:], f.TraceID)
+		binary.LittleEndian.PutUint64(buf[off+8:], f.SpanID)
+		off += traceExtBytes
+	}
+	if chunked {
+		binary.LittleEndian.PutUint32(buf[off:], f.ChunkIndex)
+		binary.LittleEndian.PutUint32(buf[off+4:], f.ChunkCount)
+		binary.LittleEndian.PutUint32(buf[off+8:], f.ChunkOffset)
+		off += chunkExtBytes
+	}
+	off += copy(buf[off:], f.Text)
+	for _, v := range f.Payload {
+		binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(v))
+		off += 8
+	}
+	return buf
+}
+
+// oracleFrames covers the four extension combinations, with and without
+// text, over payloads of the values whose bits a lossy codec would change:
+// signed zeros, quiet and signalling NaNs with payload bits, infinities and
+// denormals.
+func oracleFrames() []*Frame {
+	special := []float64{
+		0, math.Copysign(0, -1), 1, -2.5, math.Pi,
+		math.Float64frombits(0x7ff8000000000123), // quiet NaN, payload bits
+		math.Float64frombits(0x7ff0000000000001), // signalling NaN
+		math.Float64frombits(0xfff800000000beef), // negative NaN
+		math.Inf(1), math.Inf(-1),
+		math.Float64frombits(1),                   // smallest denormal
+		math.Float64frombits(0x000fffffffffffff),  // largest denormal
+		-math.Float64frombits(0x0000000000abcdef), // negative denormal
+		math.MaxFloat64, math.SmallestNonzeroFloat64,
+	}
+	long := make([]float64, 4096+3)
+	for i := range long {
+		long[i] = special[i%len(special)]
+	}
+	var frames []*Frame
+	for _, traced := range []bool{false, true} {
+		for _, chunked := range []bool{false, true} {
+			for _, text := range []string{"", "127.0.0.1:9999"} {
+				for _, p := range [][]float64{nil, special, long} {
+					f := &Frame{Type: MsgPartial, Seq: 77, From: 3, Weight: math.Copysign(0, -1), Text: text, Payload: p}
+					if traced {
+						f.TraceID, f.SpanID = 0xa1b2c3d4e5f60708, 0x1122334455667788
+					}
+					if chunked {
+						f.ChunkIndex, f.ChunkCount, f.ChunkOffset = 5, 16, 5*4096
+					}
+					frames = append(frames, f)
+				}
+			}
+		}
+	}
+	return frames
+}
+
+// TestWriterMatchesPerElementOracle: the copy-free writer puts exactly the
+// per-element encoder's bytes on the wire, and the reader hands back every
+// payload bit, NaN payloads included.
+func TestWriterMatchesPerElementOracle(t *testing.T) {
+	for i, f := range oracleFrames() {
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, f); err != nil {
+			t.Fatal(err)
+		}
+		want := encodeOracle(f)
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("frame %d: writer bytes differ from the per-element encoding", i)
+		}
+		got, err := decode(bytes.NewReader(want))
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if len(got.Payload) != len(f.Payload) || got.Text != f.Text || got.ChunkOffset != f.ChunkOffset ||
+			got.TraceID != f.TraceID || math.Float64bits(got.Weight) != math.Float64bits(f.Weight) {
+			t.Fatalf("frame %d decoded as %+v", i, got)
+		}
+		for j, v := range f.Payload {
+			if math.Float64bits(got.Payload[j]) != math.Float64bits(v) {
+				t.Fatalf("frame %d payload[%d] bits %#x, want %#x", i, j,
+					math.Float64bits(got.Payload[j]), math.Float64bits(v))
+			}
+		}
+	}
+}
+
+// TestConnSendMatchesOracle: over TCP a frame goes out as one vectored
+// write; the bytes the peer reads are still exactly the per-element
+// encoding.
+func TestConnSendMatchesOracle(t *testing.T) {
+	ln, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	frames := oracleFrames()
+	var want []byte
+	for _, f := range frames {
+		want = append(want, encodeOracle(f)...)
+	}
+	got := make(chan []byte, 1)
+	go func() {
+		conn, err := ln.AcceptConn()
+		if err != nil {
+			got <- nil
+			return
+		}
+		defer conn.Close()
+		b := make([]byte, len(want))
+		if _, err := io.ReadFull(conn, b); err != nil {
+			got <- nil
+			return
+		}
+		got <- b
+	}()
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, f := range frames {
+		if err := c.Send(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if b := <-got; !bytes.Equal(b, want) {
+		t.Fatal("bytes on the TCP stream differ from the per-element encoding")
+	}
+	if c.BytesSent() != int64(len(want)) {
+		t.Errorf("BytesSent = %d, want %d", c.BytesSent(), len(want))
+	}
+}
+
 // recv receives one frame from c into a fresh Frame.
 func recv(c *Conn) (*Frame, error) {
 	f := new(Frame)

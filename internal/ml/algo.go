@@ -35,7 +35,8 @@ type Algorithm interface {
 	// OutputSize returns the length of Sample.Y.
 	OutputSize() int
 	// Gradient computes the partial gradient of the per-sample loss at
-	// model into grad (len(grad) == ModelSize()).
+	// model into grad (len(grad) == ModelSize()), overwriting every
+	// element: grad arrives holding stale values.
 	Gradient(model []float64, s Sample, grad []float64)
 	// Loss returns the per-sample loss at model.
 	Loss(model []float64, s Sample) float64

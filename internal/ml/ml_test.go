@@ -323,3 +323,109 @@ func TestMeanLossEmpty(t *testing.T) {
 		t.Errorf("MeanLoss(empty) = %g", l)
 	}
 }
+
+// averageOracle is the pass-by-pass averaging ParallelSGDBatch used before
+// it averaged in place: clear, add each partial, scale by 1/n.
+func averageOracle(partials [][]float64) []float64 {
+	out := make([]float64, len(partials[0]))
+	for _, p := range partials {
+		AXPY(1, p, out)
+	}
+	Scale(1/float64(len(partials)), out)
+	return out
+}
+
+// localSGDOracle is LocalSGD with fresh scratch in place of pooled scratch.
+func localSGDOracle(a Algorithm, model []float64, samples []Sample, lr float64) []float64 {
+	local := append([]float64(nil), model...)
+	scratch := make([]float64, len(model))
+	for _, s := range samples {
+		SGDStep(a, local, s, lr, scratch)
+	}
+	return local
+}
+
+// TestParallelSGDBatchBitIdentical: the in-place averaging and the pooled
+// gradient scratch give exactly the bits of the AggregateModels composition
+// over fresh-scratch partials, for 1–4 workers under both aggregators, on
+// inputs holding -0 and denormals — values whose rounding a reordered fold
+// would change.
+func TestParallelSGDBatchBitIdentical(t *testing.T) {
+	const denorm = 4.9406564584124654e-324
+	rng := rand.New(rand.NewSource(11))
+	for _, a := range []Algorithm{&LinearRegression{M: 9}, &Softmax{M: 5, C: 3}} {
+		model := a.InitModel(rng)
+		for i := range model {
+			switch i % 3 {
+			case 0:
+				model[i] = math.Copysign(0, -1)
+			case 1:
+				model[i] = float64(i) * denorm
+			}
+		}
+		batch := make([]Sample, 7)
+		for i := range batch {
+			batch[i] = randomSample(a, rng)
+			for j := range batch[i].X {
+				switch j % 4 {
+				case 0:
+					batch[i].X[j] = math.Copysign(0, -1)
+				case 1:
+					batch[i].X[j] = -denorm * float64(j)
+				}
+			}
+		}
+		for _, agg := range []dsl.AggregatorKind{dsl.AggAverage, dsl.AggSum} {
+			cfg := SGDConfig{LearningRate: 0.05, MiniBatch: len(batch), Aggregator: agg}
+			for workers := 1; workers <= 4; workers++ {
+				var partials [][]float64
+				for _, part := range Partition(batch, workers) {
+					if agg == dsl.AggAverage {
+						p := LocalSGD(a, model, part, cfg.LearningRate)
+						requireSameBits(t, a.Name()+" LocalSGD", localSGDOracle(a, model, part, cfg.LearningRate), p)
+						partials = append(partials, p)
+					} else {
+						partials = append(partials, AccumulateGradients(a, model, part))
+					}
+				}
+				want := AggregateModels(cfg, model, partials)
+				if agg == dsl.AggAverage {
+					requireSameBits(t, a.Name()+" composition vs oracle", averageOracle(partials), want)
+				}
+				got := ParallelSGDBatch(a, cfg, model, batch, workers)
+				requireSameBits(t, a.Name()+" ParallelSGDBatch", want, got)
+			}
+		}
+	}
+}
+
+func requireSameBits(t *testing.T, what string, want, got []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: [%d] = %g (%#x), want %g (%#x)", what, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// TestAverageInPlaceSignedZero: one partial of -0 averages to +0, as the
+// clear-then-add fold always gave, and the other partials are untouched.
+func TestAverageInPlaceSignedZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	one := []float64{negZero, math.NaN(), 3}
+	if got := AverageInPlace([][]float64{one}); math.Signbit(got[0]) || !math.IsNaN(got[1]) || got[2] != 3 {
+		t.Fatalf("AverageInPlace one partial = %v", got)
+	}
+	p1 := []float64{negZero, 2, 4}
+	got := AverageInPlace([][]float64{{negZero, 0, 2}, p1})
+	if math.Signbit(got[0]) || got[1] != 1 || got[2] != 3 {
+		t.Fatalf("AverageInPlace = %v", got)
+	}
+	if !math.Signbit(p1[0]) || p1[1] != 2 || p1[2] != 4 {
+		t.Fatalf("AverageInPlace changed partials[1:]: %v", p1)
+	}
+}

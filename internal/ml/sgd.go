@@ -2,6 +2,7 @@ package ml
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/dsl"
 )
@@ -24,27 +25,50 @@ func SGDStep(a Algorithm, model []float64, s Sample, lr float64, scratch []float
 	AXPY(-lr, scratch, model)
 }
 
+// scratchPool recycles gradient scratch vectors, so a partial computation
+// allocates only the vector it returns. Gradient overwrites every element
+// of its scratch, so recycled contents never leak into a result.
+var scratchPool = sync.Pool{New: func() any { return new([]float64) }}
+
+// getScratch returns a pooled vector of length n (contents undefined). The
+// caller must hand it back with putScratch.
+//
+//cosmic:owns
+func getScratch(n int) *[]float64 {
+	sp := scratchPool.Get().(*[]float64)
+	if cap(*sp) < n {
+		*sp = make([]float64, n)
+	}
+	*sp = (*sp)[:n]
+	return sp
+}
+
+func putScratch(sp *[]float64) { scratchPool.Put(sp) }
+
 // LocalSGD runs sequential SGD over samples starting from a copy of model
 // and returns the updated parameters: the per-worker computation of
-// Equation 3a.
+// Equation 3a. The result is freshly allocated and owned by the caller.
 func LocalSGD(a Algorithm, model []float64, samples []Sample, lr float64) []float64 {
 	local := make([]float64, len(model))
 	copy(local, model)
-	scratch := make([]float64, len(model))
+	sp := getScratch(len(model))
+	defer putScratch(sp)
 	for _, s := range samples {
-		SGDStep(a, local, s, lr, scratch)
+		SGDStep(a, local, s, lr, *sp)
 	}
 	return local
 }
 
 // AccumulateGradients sums per-sample gradients at a fixed model over
-// samples, the per-worker computation of batched gradient descent.
+// samples, the per-worker computation of batched gradient descent. The
+// result is freshly allocated and owned by the caller.
 func AccumulateGradients(a Algorithm, model []float64, samples []Sample) []float64 {
 	acc := make([]float64, len(model))
-	scratch := make([]float64, len(model))
+	sp := getScratch(len(model))
+	defer putScratch(sp)
 	for _, s := range samples {
-		a.Gradient(model, s, scratch)
-		AXPY(1, scratch, acc)
+		a.Gradient(model, s, *sp)
+		AXPY(1, *sp, acc)
 	}
 	return acc
 }
@@ -72,10 +96,7 @@ func AggregateModels(cfg SGDConfig, base []float64, partials [][]float64) []floa
 	out := make([]float64, len(base))
 	switch cfg.Aggregator {
 	case dsl.AggAverage:
-		for _, p := range partials {
-			AXPY(1, p, out)
-		}
-		Scale(1/float64(len(partials)), out)
+		averageInto(out, partials)
 	case dsl.AggSum:
 		copy(out, base)
 		scale := -cfg.LearningRate
@@ -87,6 +108,43 @@ func AggregateModels(cfg SGDConfig, base []float64, partials [][]float64) []floa
 		}
 	}
 	return out
+}
+
+// AverageInPlace averages equal-length partials into partials[0] and
+// returns it, bit for bit the AggAverage result of AggregateModels, without
+// a second model-sized vector. partials[1:] are left unchanged.
+func AverageInPlace(partials [][]float64) []float64 {
+	averageInto(partials[0], partials)
+	return partials[0]
+}
+
+// averageInto writes the mean of partials into dst, which may alias
+// partials[0] but no other partial. Each element is ((0 + p0) + p1 + …) ·
+// (1/n) in exactly that order, so a lone -0 averages to +0 and the bits of
+// every trained model stay fixed.
+func averageInto(dst []float64, partials [][]float64) {
+	inv := 1 / float64(len(partials))
+	last := len(partials) - 1
+	p0 := partials[0][:len(dst)]
+	if last == 0 {
+		for i, v := range p0 {
+			dst[i] = (0 + v) * inv
+		}
+		return
+	}
+	for i, v := range p0 {
+		dst[i] = 0 + v
+	}
+	for _, p := range partials[1:last] {
+		p = p[:len(dst)]
+		for i, v := range p {
+			dst[i] += v
+		}
+	}
+	pn := partials[last][:len(dst)]
+	for i, v := range pn {
+		dst[i] = (dst[i] + v) * inv
+	}
 }
 
 // ParallelSGDBatch performs one mini-batch of parallel SGD across workers
@@ -104,6 +162,10 @@ func ParallelSGDBatch(a Algorithm, cfg SGDConfig, model []float64, batch []Sampl
 		case dsl.AggSum:
 			partials[i] = AccumulateGradients(a, model, part)
 		}
+	}
+	if cfg.Aggregator == dsl.AggAverage {
+		// The partials are this call's own vectors: average into the first.
+		return AverageInPlace(partials)
 	}
 	return AggregateModels(cfg, model, partials)
 }

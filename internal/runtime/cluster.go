@@ -68,7 +68,11 @@ type Cluster struct {
 	topo   Topology
 	master *Node
 	nodes  []*Node
+	// runErr collects every worker's Run result for Shutdown; failed
+	// carries the first failure to Train, so Train never takes a result
+	// Shutdown waits for.
 	runErr chan error
+	failed chan error
 }
 
 // TrainStats reports a training run.
@@ -103,7 +107,7 @@ func Launch(opts ClusterOptions) (*Cluster, error) {
 	}
 	perNode := opts.MiniBatch / opts.Nodes
 
-	c := &Cluster{opts: opts, topo: topo, runErr: make(chan error, opts.Nodes)}
+	c := &Cluster{opts: opts, topo: topo, runErr: make(chan error, opts.Nodes), failed: make(chan error, 1)}
 	baseCfg := func(id int) NodeConfig {
 		cfg := NodeConfig{
 			ID:            uint32(id),
@@ -157,7 +161,7 @@ func Launch(opts ClusterOptions) (*Cluster, error) {
 		}
 		sigmaAddr[g] = node.Addr()
 		c.nodes = append(c.nodes, node)
-		go func() { c.runErr <- node.Run() }()
+		go c.run(node)
 	}
 
 	// Deltas last.
@@ -171,7 +175,7 @@ func Launch(opts ClusterOptions) (*Cluster, error) {
 			return nil, err
 		}
 		c.nodes = append(c.nodes, node)
-		go func() { c.runErr <- node.Run() }()
+		go c.run(node)
 	}
 
 	// Startup barrier: the master hears directly from the other group
@@ -179,6 +183,18 @@ func Launch(opts ClusterOptions) (*Cluster, error) {
 	direct := (topo.Groups - 1) + (len(topo.Members[0]) - 1)
 	master.WaitMembers(direct)
 	return c, nil
+}
+
+// run runs one worker node and reports how it ended.
+func (c *Cluster) run(n *Node) {
+	err := n.Run()
+	if err != nil {
+		select {
+		case c.failed <- err:
+		default:
+		}
+	}
+	c.runErr <- err
 }
 
 // Topology returns the Director's assignment.
@@ -201,7 +217,7 @@ func (c *Cluster) Train(model []float64, rounds int) ([]float64, TrainStats, err
 	// In quorum mode a node death must not abort the run — the timed-out
 	// round folds on the survivors instead — so the fail channel stays out
 	// of the wait (Shutdown still collects the exit errors).
-	fail := c.runErr
+	var fail <-chan error = c.failed
 	if c.opts.MinQuorum > 0 {
 		fail = nil
 	}

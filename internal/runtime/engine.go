@@ -86,8 +86,7 @@ func (e *RefEngine) tapePartial(model []float64, shard []ml.Sample, threads int)
 			}
 			partials[i] = p
 		}
-		cfg := ml.SGDConfig{LearningRate: e.LR, Aggregator: dsl.AggAverage}
-		return ml.AggregateModels(cfg, model, partials), nil
+		return ml.AverageInPlace(partials), nil
 	case dsl.AggSum:
 		return e.tape.AccumulateGradients(model, shard)
 	}

@@ -124,20 +124,18 @@ type Node struct {
 	// the byte counters of connections replaced by a reconnect.
 	upstream           *cosmicnet.Conn
 	sentBase, recvBase int64
-	// sendMu serializes upstream frame writes: with fold-on-arrival
-	// forwarding, per-chunk completion callbacks send from concurrent
-	// aggregation workers.
-	sendMu sync.Mutex
 
 	// Sigma machinery.
 	ring *CircularBuffer
 	agg  *AggregationBuffer
 	// downstream are the member connections a Sigma forwards models to.
 	// Dead ones are pruned on send failure; downSentBase/downRecvBase carry
-	// the pruned connections' byte counters.
+	// the pruned connections' byte counters. Once membersClosed is set, a
+	// newly accepted connection is closed instead of joining.
 	downstream                 []*cosmicnet.Conn
 	downstreamMu               sync.Mutex
 	downSentBase, downRecvBase int64
+	membersClosed              bool
 
 	helloMu    sync.Mutex
 	helloCond  *sync.Cond
@@ -390,6 +388,11 @@ func (n *Node) acceptLoop() {
 			return // listener closed
 		}
 		n.downstreamMu.Lock()
+		if n.membersClosed {
+			n.downstreamMu.Unlock()
+			conn.Close()
+			return
+		}
 		n.downstream = append(n.downstream, conn)
 		n.downstreamMu.Unlock()
 		n.wg.Add(1)
@@ -694,9 +697,16 @@ func (n *Node) redialUpstream(cause error) (*cosmicnet.Conn, error) {
 
 // Run executes the node's role loop until MsgDone. It blocks; callers run
 // it in a goroutine. The master does not use Run — the driver in
-// Cluster.Train plays that role.
-func (n *Node) Run() error {
+// Cluster.Train plays that role. A group Sigma whose Run fails closes its
+// member connections, so its members fail too instead of waiting forever
+// for a model it will never forward.
+func (n *Node) Run() (runErr error) {
 	defer close(n.stopped)
+	defer func() {
+		if runErr != nil {
+			n.closeMembers()
+		}
+	}()
 	up, err := n.connectUpstream()
 	if err != nil {
 		n.fail(err)
@@ -778,7 +788,7 @@ func (n *Node) handleModel(f *cosmicnet.Frame) error {
 		// member's contribution, ship it upstream — the master starts
 		// folding this group's early chunks while later ones are still
 		// crossing the group's own links. The callback runs on aggregation
-		// workers; sendUpstream serializes the writes.
+		// workers; Conn.Send serializes the writes.
 		count := uint32(n.agg.ChunkCount())
 		n.agg.SetOnComplete(func(idx int, span []float64, weight float64) {
 			n.obs.sent(len(span))
@@ -851,7 +861,7 @@ func (n *Node) streamUpstream(typ cosmicnet.MsgType, seq uint32, weight float64,
 // a trace, emits the matching send span (its ArgFlowOut is what the trace
 // merger joins to the receiver's ArgFlowIn), records the flight event, and
 // writes the frame upstream. Concurrent senders (per-chunk completion
-// callbacks run on aggregation workers) are serialized.
+// callbacks run on aggregation workers) are serialized by Conn.Send.
 func (n *Node) sendUpstream(f *cosmicnet.Frame) error {
 	if f.TraceID != 0 {
 		f.SpanID = n.nextSpanID()
@@ -863,8 +873,6 @@ func (n *Node) sendUpstream(f *cosmicnet.Frame) error {
 	n.flight.Record(obs.FlightEvent{
 		Dir: obs.FlightSend, Type: f.Type.String(), Seq: f.Seq, Bytes: len(f.Payload) * 8,
 	})
-	n.sendMu.Lock()
-	defer n.sendMu.Unlock()
 	n.upMu.Lock()
 	up := n.upstream
 	n.upMu.Unlock()
@@ -965,16 +973,23 @@ func (n *Node) Close() {
 		n.upstream.Close()
 	}
 	n.upMu.Unlock()
-	if n.ln != nil {
-		n.ln.Close()
-	}
 	if n.ring != nil {
 		n.ring.Close()
 	}
+	n.closeMembers()
+	n.wg.Wait()
+}
+
+// closeMembers stops a Sigma admitting members and closes every member
+// connection (a no-op on a Delta).
+func (n *Node) closeMembers() {
+	if n.ln != nil {
+		n.ln.Close()
+	}
 	n.downstreamMu.Lock()
+	n.membersClosed = true
 	for _, c := range n.downstream {
 		c.Close()
 	}
 	n.downstreamMu.Unlock()
-	n.wg.Wait()
 }

@@ -334,9 +334,7 @@ func (ab *AggregationBuffer) Add(c Chunk) error {
 		st.pending = append(st.pending, parkedChunk{rank: r, weight: c.Weight, last: c.Last, data: data})
 		st.mu.Unlock()
 	default: // in order: fold, then advance past parked and excluded ranks
-		for i, v := range c.Data {
-			span[i] += v
-		}
+		foldInto(span, c.Data)
 		st.next++
 		st.weight += c.Weight
 		if c.Last {
@@ -396,9 +394,7 @@ func (ab *AggregationBuffer) advanceLocked(st *chunkAgg, span []float64) (lastWe
 				continue
 			}
 			p := st.pending[i]
-			for j, v := range p.data {
-				span[j] += v
-			}
+			foldInto(span, p.data)
 			cosmicnet.PutPayload(p.data)
 			st.next++
 			st.weight += p.weight
@@ -420,6 +416,15 @@ func (ab *AggregationBuffer) advanceLocked(st *chunkAgg, span []float64) (lastWe
 		chunkWeight = st.weight
 	}
 	return lastWeight, completeNow, chunkWeight
+}
+
+// foldInto adds src into dst element by element (len(dst) >= len(src)).
+// Reslicing dst to len(src) first lifts the bounds check out of the loop.
+func foldInto(dst, src []float64) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] += v
+	}
 }
 
 // Exclude drops members from the current round's fold: their chunks stop

@@ -328,3 +328,70 @@ func TestSigmaRejectsUnchunkedContribution(t *testing.T) {
 		})
 	}
 }
+
+// TestGroupSigmaFailureEndsShutdown: a group Sigma that fails its run (here
+// on an unchunked contribution injected over a raw connection) closes its
+// member connections, so its Deltas error out and Cluster.Shutdown returns
+// the failure instead of waiting forever on Deltas that wait on the Sigma.
+func TestGroupSigmaFailureEndsShutdown(t *testing.T) {
+	const rogue = 99
+	alg := &ml.LinearRegression{M: 8}
+	size := alg.ModelSize()
+	cl, err := Launch(ClusterOptions{
+		Nodes: 4, Groups: 2,
+		Engines: func(int) Engine {
+			return &RefEngine{Alg: alg, Threads: 1, LR: 0.01, Agg: dsl.AggAverage}
+		},
+		Shards: func(int) []ml.Sample {
+			return []ml.Sample{{X: make([]float64, alg.M), Y: []float64{1}}}
+		},
+		ModelSize: size, Agg: dsl.AggAverage, LR: 0.01,
+		DiagDir: t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	var sigma *Node
+	for _, n := range cl.Nodes() {
+		if n.cfg.Role == RoleGroupSigma {
+			sigma = n
+		}
+	}
+	if sigma == nil {
+		t.Fatal("no group Sigma in a 2-group cluster")
+	}
+	conn, err := cosmicnet.Dial(sigma.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.Send(&cosmicnet.Frame{
+		Type: cosmicnet.MsgPartial, From: rogue, Weight: 1, Payload: make([]float64, size),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// Rounds run until one reaches the group Sigma after its reader failed
+	// on the frame; that round fails there, which ends the Sigma's run.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, _, err := cl.Train(make([]float64, size), 1); err != nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the group Sigma kept folding after an unchunked contribution")
+		}
+	}
+	done := make(chan error, 1)
+	go func() { done <- cl.Shutdown() }()
+	select {
+	case err := <-done:
+		// The Sigma's own error or its Deltas' lost upstream, whichever
+		// exits first.
+		if err == nil {
+			t.Fatal("Shutdown returned nil after a group Sigma failed")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Shutdown blocked on the failed group Sigma's Deltas")
+	}
+}
