@@ -41,7 +41,6 @@ func main() {
 	join := flag.String("join", "", "master control address to join")
 	httpAddr := flag.String("http", "", "serve /metrics, /healthz, /query, /dash, /alerts, and /debug/pprof/ on this address while training")
 	tracePath := flag.String("trace", "", "write this node's Chrome trace-event JSON here on exit (merge with cosmic-trace)")
-	chunkWords := flag.Int("chunk-words", 0, "assert the cluster's streaming-chunk boundary (0 = accept the Director's; a mismatch is an error)")
 	reconnect := flag.Bool("reconnect", false, "redial the upstream Sigma with backoff when the data-plane connection drops (pair with cosmic-run -min-quorum)")
 	reconnectWait := flag.Duration("reconnect-wait", 0, "give up redialing after this long (0 = 30s)")
 	scrapeInterval := flag.Duration("scrape-interval", 250*time.Millisecond, "how often the node samples its own registry into the local TSDB")
@@ -113,7 +112,6 @@ func main() {
 	err := deploy.RunWorkerOpts(*join, deploy.WorkerOptions{
 		Obs:           o,
 		Logger:        logger,
-		ChunkWords:    *chunkWords,
 		HTTPAddr:      *httpAddr,
 		Reconnect:     *reconnect,
 		ReconnectWait: *reconnectWait,

@@ -11,9 +11,12 @@
 package main
 
 import (
+	"encoding/binary"
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"log/slog"
+	"math"
 	"math/rand"
 	"os"
 	"time"
@@ -31,7 +34,7 @@ func main() {
 	nodes := flag.Int("nodes", 4, "cluster size")
 	groups := flag.Int("groups", 1, "aggregation groups (1 = flat, >1 = hierarchical)")
 	threads := flag.Int("threads", 2, "accelerator worker threads per node")
-	samples := flag.Int("samples", 1024, "synthetic training samples")
+	samples := flag.Int("samples", 1024, "synthetic training samples, in total over all nodes")
 	batch := flag.Int("batch", 256, "system-wide mini-batch per aggregation round")
 	rounds := flag.Int("rounds", 30, "aggregation rounds")
 	useSim := flag.Bool("simulate", false, "compute gradients on the cycle-level accelerator simulator")
@@ -78,7 +81,7 @@ func main() {
 		runDistributed(*listen, deploy.Spec{
 			Nodes: *nodes, Groups: *groups,
 			Benchmark: *benchName, Scale: *scale,
-			Samples: *samples / *nodes, Seed: *seed,
+			Samples: *samples, Seed: *seed,
 			MiniBatch: *batch, Rounds: *rounds, Threads: *threads,
 			Average: true, ChunkWords: *chunkWords,
 			RoundTimeout: *roundTimeout, MinQuorum: *minQuorum,
@@ -133,9 +136,6 @@ func main() {
 		MinQuorum:    *minQuorum,
 		Obs:          o,
 	}
-	if cfg.MinQuorum > 0 && cfg.RoundTimeout <= 0 {
-		cfg.RoundTimeout = 2 * time.Second
-	}
 	if *useSim {
 		prog, err := cosmic.Compile(alg.DSLSource(), alg.DSLParams(), cosmic.UltraScalePlus,
 			cosmic.Options{MiniBatch: *batch / *nodes, Obs: o})
@@ -161,6 +161,7 @@ func main() {
 		100*(1-res.FinalLoss/res.InitialLoss))
 	fmt.Printf("rounds:    p50 %v, p95 %v, max %v; network %.2f MB sent\n",
 		res.RoundP50, res.RoundP95, res.RoundMax, float64(res.NetworkSentBytes)/1e6)
+	fmt.Printf("model:     %016x\n", modelDigest(res.Model))
 	if res.ExcludedRounds > 0 {
 		fmt.Printf("quorum:    %d rounds folded without the full member set\n", res.ExcludedRounds)
 	}
@@ -221,9 +222,10 @@ func runDistributed(addr string, spec deploy.Spec, opts deploy.MasterOptions, tr
 	fmt.Printf("trained:   %d rounds, loss %.5f -> %.5f (%.1f%% reduction)\n",
 		res.Stats.Rounds, res.InitialLoss, res.FinalLoss,
 		100*(1-res.FinalLoss/res.InitialLoss))
-	fmt.Printf("rounds:    p50 %v, p95 %v, max %v; network %.2f MB sent\n",
+	fmt.Printf("rounds:    p50 %v, p95 %v, max %v; network %.2f MB master sent\n",
 		res.Stats.RoundP50, res.Stats.RoundP95, res.Stats.RoundMax,
 		float64(res.Stats.NetworkSentBytes)/1e6)
+	fmt.Printf("model:     %016x\n", modelDigest(res.Model))
 	if res.Stats.ExcludedRounds > 0 {
 		fmt.Printf("quorum:    %d rounds folded without the full member set\n", res.Stats.ExcludedRounds)
 	}
@@ -240,6 +242,18 @@ func runDistributed(addr string, spec deploy.Spec, opts deploy.MasterOptions, tr
 	if tracePath != "" {
 		fmt.Printf("trace:     %s (merge with cosmic-trace)\n", tracePath)
 	}
+}
+
+// modelDigest is the FNV-64a hash of the model's float64 bits, little
+// endian: equal digests mean bitwise-equal models.
+func modelDigest(model []float64) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, v := range model {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	return h.Sum64()
 }
 
 func fatal(err error) {

@@ -7,14 +7,18 @@
 // this package is the multi-machine deployment the paper's 16-node EC2
 // experiments used.
 //
-// The Director's handshake is two-phase, because a Delta's upstream address
-// is its group Sigma's listener, which exists only after that Sigma is
-// configured:
+// Both deployments start in runtime.Assemble's one sequence, from the same
+// runtime.ClusterOptions, which every process derives from the Spec. Here a
+// non-master node starts with a MsgConfig carrying its node ID, its
+// upstream address, and the Spec; the worker derives the rest of its
+// configuration, engine and shard itself. A Delta's upstream is its group
+// Sigma's listener, which exists only once that Sigma is configured, so
+// group Sigmas answer with their address:
 //
-//	worker → master   MsgHello                   (join)
-//	master → sigmas   MsgConfig{role, ...}       (phase 1)
+//	worker → master   MsgHello                       (join)
+//	master → sigma    MsgConfig{id, upstream, spec}
 //	sigma  → master   MsgAck{listener address}
-//	master → deltas   MsgConfig{role, upstream}  (phase 2)
+//	master → delta    MsgConfig{id, sigma's address, spec}
 //	workers           dial upstream and run; training proceeds as in
 //	                  package runtime
 package deploy
@@ -51,11 +55,12 @@ type Spec struct {
 	Nodes  int `json:"nodes"`
 	Groups int `json:"groups"`
 
-	// Benchmark and Scale select the workload; every node generates its
-	// own shard deterministically from Seed and its node ID.
+	// Benchmark and Scale select the workload. Samples is the total
+	// sample count of the one task generated from Seed (default 512 per
+	// node); node i trains on slice i of it, cut as ml.Partition cuts.
 	Benchmark string  `json:"benchmark"`
 	Scale     float64 `json:"scale"`
-	Samples   int     `json:"samples"` // per node
+	Samples   int     `json:"samples"`
 	Seed      int64   `json:"seed"`
 
 	MiniBatch    int     `json:"mini_batch"`
@@ -70,7 +75,8 @@ type Spec struct {
 	// round with the members that arrived (at least MinQuorum of them,
 	// its own contribution included) and marks the absentees suspect until
 	// they speak again. The Director distributes both, so every Sigma in
-	// the hierarchy applies the same policy.
+	// the hierarchy applies the same policy; quorum mode with no timeout
+	// gets runtime.QuorumTimeout.
 	RoundTimeout time.Duration `json:"round_timeout,omitempty"`
 	MinQuorum    int           `json:"min_quorum,omitempty"`
 
@@ -104,7 +110,7 @@ func (s *Spec) Validate() error {
 		s.Scale = 0.02
 	}
 	if s.Samples <= 0 {
-		s.Samples = 512
+		s.Samples = 512 * s.Nodes
 	}
 	if s.Threads <= 0 {
 		s.Threads = 2
@@ -121,33 +127,72 @@ func (s *Spec) Validate() error {
 	if s.MinQuorum < 0 {
 		return fmt.Errorf("deploy: min_quorum %d", s.MinQuorum)
 	}
-	if s.MinQuorum > 0 && s.RoundTimeout <= 0 {
-		// Quorum mode is meaningless without a bounded round.
-		s.RoundTimeout = 2 * time.Second
-	}
 	if _, err := dataset.ByName(s.Benchmark); err != nil {
 		return err
 	}
 	return nil
 }
 
-// agg returns the aggregator kind.
-func (s Spec) agg() dsl.AggregatorKind {
-	if s.Average {
-		return dsl.AggAverage
+// options validates the Spec and turns it into the cluster options every
+// process of the run derives its nodes from. It also returns the
+// benchmark's algorithm and the one seeded task the shards are cut from.
+// Node id gets the same engine and shard in every process: a fresh engine
+// for the benchmark and ml.Partition(Generate(alg, Samples, Seed),
+// Nodes)[id], the slicing cosmic.Train applies to its data. o, when
+// non-nil, observes the simulator program's compile.
+func (s *Spec) options(o *obs.Observer) (runtime.ClusterOptions, ml.Algorithm, []ml.Sample, error) {
+	if err := s.Validate(); err != nil {
+		return runtime.ClusterOptions{}, nil, nil, err
 	}
-	return dsl.AggSum
+	bench, err := dataset.ByName(s.Benchmark)
+	if err != nil {
+		return runtime.ClusterOptions{}, nil, nil, err
+	}
+	alg := bench.Algorithm(s.Scale)
+	lr := s.LearningRate
+	if lr == 0 {
+		lr = bench.DefaultLR(alg)
+	}
+	agg := dsl.AggSum
+	if s.Average {
+		agg = dsl.AggAverage
+	}
+	opts := runtime.ClusterOptions{
+		Nodes: s.Nodes, Groups: s.Groups,
+		ModelSize: alg.ModelSize(), Agg: agg, LR: lr, MiniBatch: s.MiniBatch,
+		RoundTimeout: s.RoundTimeout, MinQuorum: s.MinQuorum, ChunkWords: s.ChunkWords,
+	}
+	opts.Engines = func(int) runtime.Engine {
+		return &runtime.RefEngine{Alg: alg, Threads: s.Threads, LR: lr, Agg: agg}
+	}
+	if s.Simulate {
+		topo, err := runtime.Assign(s.Nodes, s.Groups)
+		if err != nil {
+			return runtime.ClusterOptions{}, nil, nil, err
+		}
+		build, err := core.BuildProgram(alg.DSLSource(), alg.DSLParams(), arch.UltraScalePlus, core.BuildOptions{
+			MiniBatch: opts.NodeConfig(topo, 0).ShardBatch, Style: compiler.StyleCoSMIC, Obs: o,
+		})
+		if err != nil {
+			return runtime.ClusterOptions{}, nil, nil, fmt.Errorf("deploy: compiling simulator program: %w", err)
+		}
+		opts.Engines = func(int) runtime.Engine {
+			return &runtime.AccelEngine{Alg: alg, Prog: build.Program, LR: lr, Agg: agg}
+		}
+	}
+	data := bench.Generate(alg, s.Samples, s.Seed)
+	shards := ml.Partition(data, s.Nodes)
+	opts.Shards = func(id int) []ml.Sample { return shards[id] }
+	return opts, alg, data, nil
 }
 
-// workerConfig is the MsgConfig payload.
+// workerConfig is the MsgConfig payload: the worker's node ID and upstream
+// address from the start sequence, and the Spec it derives everything else
+// from.
 type workerConfig struct {
-	NodeID       uint32   `json:"node_id"`
-	Role         int      `json:"role"`
-	Group        int      `json:"group"`
-	UpstreamAddr string   `json:"upstream_addr"`
-	MemberIDs    []uint32 `json:"member_ids,omitempty"`
-	Spec         Spec     `json:"spec"`
-	LR           float64  `json:"lr"`
+	NodeID       uint32 `json:"node_id"`
+	UpstreamAddr string `json:"upstream_addr"`
+	Spec         Spec   `json:"spec"`
 	// MasterUnixUS is the Director's clock (Unix micros) at config-send
 	// time. The worker derives its clock skew from it so cosmic-trace can
 	// align per-node trace timelines; the one-way control-plane latency is
@@ -319,59 +364,10 @@ func (cv *clusterView) handler() http.HandlerFunc {
 	}
 }
 
-// buildNode constructs the local node for a config: engine, shard, and the
-// runtime Node. o, when non-nil, receives the node's telemetry; logger,
-// when non-nil, its structured diagnostics. reconnect/reconnectWait are the
-// local process's redial policy (a per-worker choice, not distributed).
-func buildNode(cfg workerConfig, o *obs.Observer, logger *slog.Logger, reconnect bool, reconnectWait time.Duration) (*runtime.Node, error) {
-	bench, err := dataset.ByName(cfg.Spec.Benchmark)
-	if err != nil {
-		return nil, err
-	}
-	alg := bench.Algorithm(cfg.Spec.Scale)
-	lr := cfg.LR
-	if lr == 0 {
-		lr = bench.DefaultLR(alg)
-	}
-	shard := bench.Generate(alg, cfg.Spec.Samples, cfg.Spec.Seed+int64(cfg.NodeID))
-	perNode := cfg.Spec.MiniBatch / cfg.Spec.Nodes
-	if perNode < 1 {
-		perNode = 1
-	}
-	var engine runtime.Engine
-	if cfg.Spec.Simulate {
-		build, err := core.BuildProgram(alg.DSLSource(), alg.DSLParams(), arch.UltraScalePlus, core.BuildOptions{
-			MiniBatch: perNode, Style: compiler.StyleCoSMIC, Obs: o,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("deploy: compiling simulator program: %w", err)
-		}
-		engine = &runtime.AccelEngine{Alg: alg, Prog: build.Program, LR: lr, Agg: cfg.Spec.agg()}
-	} else {
-		engine = &runtime.RefEngine{Alg: alg, Threads: cfg.Spec.Threads, LR: lr, Agg: cfg.Spec.agg()}
-	}
-	return runtime.StartNode(runtime.NodeConfig{
-		ID:            cfg.NodeID,
-		Role:          runtime.Role(cfg.Role),
-		Group:         cfg.Group,
-		UpstreamAddr:  cfg.UpstreamAddr,
-		MemberIDs:     cfg.MemberIDs,
-		ChunkWords:    cfg.Spec.ChunkWords,
-		Engine:        engine,
-		ModelSize:     alg.ModelSize(),
-		Agg:           cfg.Spec.agg(),
-		LR:            lr,
-		ShardBatch:    perNode,
-		RoundTimeout:  cfg.Spec.RoundTimeout,
-		MinQuorum:     cfg.Spec.MinQuorum,
-		Reconnect:     reconnect,
-		ReconnectWait: reconnectWait,
-		Obs:           o,
-		Logger:        logger,
-	}, shard)
-}
-
-// Result reports a distributed run from the master's side.
+// Result reports a distributed run from the master's side. Stats' network
+// byte counts are the master's own: the frames it sent to and received from
+// its direct members. InitialLoss and FinalLoss are means over the whole
+// task.
 type Result struct {
 	Model       []float64
 	Stats       runtime.TrainStats
@@ -425,13 +421,11 @@ func RunMaster(controlAddr string, spec Spec) (*Result, error) {
 
 // RunMasterOpts is RunMaster with the Director's observability attached.
 func RunMasterOpts(controlAddr string, spec Spec, opts MasterOptions) (*Result, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	topo, err := runtime.Assign(spec.Nodes, spec.Groups)
+	copts, alg, data, err := spec.options(opts.Obs)
 	if err != nil {
 		return nil, err
 	}
+	copts.Obs, copts.Logger, copts.DiagDir, copts.TraceIDBase = opts.Obs, opts.Logger, opts.DiagDir, opts.TraceIDBase
 
 	control, err := net.Listen("tcp", controlAddr)
 	if err != nil {
@@ -439,23 +433,62 @@ func RunMasterOpts(controlAddr string, spec Spec, opts MasterOptions) (*Result, 
 	}
 	defer control.Close()
 
-	bench, _ := dataset.ByName(spec.Benchmark)
-	alg := bench.Algorithm(spec.Scale)
-	lr := spec.LearningRate
-	if lr == 0 {
-		lr = bench.DefaultLR(alg)
+	// Admit every worker's join connection. A slot's conn can be
+	// replaced mid-run by the rejoin acceptor (quorum mode), so access goes
+	// through the mutex once training starts.
+	type joined struct {
+		mu   sync.Mutex
+		conn *cosmicnet.Conn
+		cfg  workerConfig
+		dead bool
+	}
+	workers := make([]*joined, 0, spec.Nodes-1)
+	for len(workers) < spec.Nodes-1 {
+		raw, err := control.Accept()
+		if err != nil {
+			return nil, err
+		}
+		conn := &cosmicnet.Conn{Conn: raw}
+		var hello cosmicnet.Frame
+		if err := conn.Recv(&hello); err != nil || hello.Type != cosmicnet.MsgHello {
+			conn.Close()
+			continue
+		}
+		workers = append(workers, &joined{conn: conn})
 	}
 
-	// The master node itself (group 0's Sigma + top-level combiner).
-	masterCfg := workerConfig{
-		NodeID: 0, Role: int(runtime.RoleMasterSigma), Group: 0,
-		MemberIDs: topo.MasterMemberIDs(), Spec: spec, LR: lr,
+	sendConfig := func(conn *cosmicnet.Conn, cfg workerConfig) error {
+		cfg.MasterUnixUS = time.Now().UnixMicro()
+		blob, err := json.Marshal(cfg)
+		if err != nil {
+			return err
+		}
+		return conn.Send(&cosmicnet.Frame{Type: cosmicnet.MsgConfig, Text: string(blob)})
 	}
-	master, err := buildNode(masterCfg, opts.Obs, opts.Logger, false, 0)
+
+	// The start sequence: the master node here, then every worker by its
+	// MsgConfig (worker i holds node ID i+1); a group Sigma answers with its
+	// data-plane listener address for its Deltas.
+	cl, err := runtime.Assemble(copts, func(cfg runtime.NodeConfig) (string, *runtime.Node, error) {
+		w := workers[cfg.ID-1]
+		w.cfg = workerConfig{NodeID: cfg.ID, UpstreamAddr: cfg.UpstreamAddr, Spec: spec}
+		if err := sendConfig(w.conn, w.cfg); err != nil {
+			return "", nil, err
+		}
+		if cfg.Role != runtime.RoleGroupSigma {
+			return "", nil, nil
+		}
+		var ack cosmicnet.Frame
+		if err := w.conn.Recv(&ack); err != nil || ack.Type != cosmicnet.MsgAck {
+			return "", nil, fmt.Errorf("deploy: sigma %d did not ack: %v", cfg.ID, err)
+		}
+		return ack.Text, nil, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer master.Close()
+	defer cl.Close()
+	master, topo := cl.Nodes()[0], cl.Topology()
 
 	// The Director's federated registry: the master's own metrics locally,
 	// every worker's scraped exposition as a source.
@@ -502,75 +535,6 @@ func RunMasterOpts(controlAddr string, spec Spec, opts MasterOptions) (*Result, 
 		defer srv.Close()
 	}
 
-	// Phase 0: admit every worker's join connection. A slot's conn can be
-	// replaced mid-run by the rejoin acceptor (quorum mode), so access goes
-	// through the mutex once training starts.
-	type joined struct {
-		mu   sync.Mutex
-		conn *cosmicnet.Conn
-		cfg  workerConfig
-		dead bool
-	}
-	workers := make([]*joined, 0, spec.Nodes-1)
-	for len(workers) < spec.Nodes-1 {
-		raw, err := control.Accept()
-		if err != nil {
-			return nil, err
-		}
-		conn := &cosmicnet.Conn{Conn: raw}
-		var hello cosmicnet.Frame
-		if err := conn.Recv(&hello); err != nil || hello.Type != cosmicnet.MsgHello {
-			conn.Close()
-			continue
-		}
-		workers = append(workers, &joined{conn: conn})
-	}
-
-	sendConfig := func(conn *cosmicnet.Conn, cfg workerConfig) error {
-		cfg.MasterUnixUS = time.Now().UnixMicro()
-		blob, err := json.Marshal(cfg)
-		if err != nil {
-			return err
-		}
-		return conn.Send(&cosmicnet.Frame{Type: cosmicnet.MsgConfig, Text: string(blob)})
-	}
-
-	// Phase 1: configure group Sigmas (workers 0..Groups-2 become node IDs
-	// 1..Groups-1) and collect their data-plane listener addresses.
-	sigmaAddr := make([]string, spec.Groups)
-	sigmaAddr[0] = master.Addr()
-	for g := 1; g < spec.Groups; g++ {
-		w := workers[g-1]
-		cfg := workerConfig{
-			NodeID: uint32(g), Role: int(runtime.RoleGroupSigma), Group: g,
-			UpstreamAddr: master.Addr(), MemberIDs: topo.MemberIDs(g),
-			Spec: spec, LR: lr,
-		}
-		w.cfg = cfg
-		if err := sendConfig(w.conn, cfg); err != nil {
-			return nil, err
-		}
-		var ack cosmicnet.Frame
-		if err := w.conn.Recv(&ack); err != nil || ack.Type != cosmicnet.MsgAck {
-			return nil, fmt.Errorf("deploy: sigma %d did not ack: %v", g, err)
-		}
-		sigmaAddr[g] = ack.Text
-	}
-
-	// Phase 2: configure Deltas.
-	for id := spec.Groups; id < spec.Nodes; id++ {
-		w := workers[id-1]
-		group := topo.GroupOf[id]
-		cfg := workerConfig{
-			NodeID: uint32(id), Role: int(runtime.RoleDelta), Group: group,
-			UpstreamAddr: sigmaAddr[group], Spec: spec, LR: lr,
-		}
-		w.cfg = cfg
-		if err := sendConfig(w.conn, cfg); err != nil {
-			return nil, err
-		}
-	}
-
 	// Rejoin acceptor (quorum mode): a restarted worker process dials the
 	// control port and sends MsgHello exactly like a fresh join; hand it the
 	// config of a dead Delta slot so it can redial its Sigma and resume.
@@ -596,7 +560,7 @@ func RunMasterOpts(controlAddr string, spec Spec, opts MasterOptions) (*Result, 
 				var slot *joined
 				for _, w := range workers {
 					w.mu.Lock()
-					ok := w.dead && runtime.Role(w.cfg.Role) == runtime.RoleDelta
+					ok := w.dead && topo.RoleOf[w.cfg.NodeID] == runtime.RoleDelta
 					w.mu.Unlock()
 					if ok {
 						slot = w
@@ -624,10 +588,6 @@ func RunMasterOpts(controlAddr string, spec Spec, opts MasterOptions) (*Result, 
 			}
 		}()
 	}
-
-	// Wait for the data plane to assemble, then train.
-	direct := (spec.Groups - 1) + (len(topo.Members[0]) - 1)
-	master.WaitMembers(direct)
 
 	// Metrics federation: the control connections are idle during training,
 	// so the Director periodically round-trips a MsgStats on each one,
@@ -718,31 +678,21 @@ func RunMasterOpts(controlAddr string, spec Spec, opts MasterOptions) (*Result, 
 	}
 
 	model := alg.InitModel(rand.New(rand.NewSource(spec.Seed)))
-	res := &Result{}
-	full := bench.Generate(alg, spec.Samples, spec.Seed) // master's view of the loss
-	res.InitialLoss = ml.MeanLoss(alg, model, full)
-
-	trained, stats, err := master.DriveTraining(runtime.DriveConfig{
-		Groups:       spec.Groups,
-		ModelSize:    alg.ModelSize(),
-		Agg:          spec.agg(),
-		LR:           lr,
-		MiniBatch:    spec.MiniBatch,
-		RoundTimeout: spec.RoundTimeout,
-		MinQuorum:    spec.MinQuorum,
-		TraceIDBase:  opts.TraceIDBase,
-	}, model, spec.Rounds)
+	res := &Result{InitialLoss: ml.MeanLoss(alg, model, data)}
+	trained, stats, err := cl.Train(model, spec.Rounds)
 	if err != nil {
 		return nil, err
 	}
-	master.SendDone()
+	// Every worker is another process, so Shutdown only sends the Done.
+	if err := cl.Shutdown(); err != nil {
+		return nil, err
+	}
 	// Quiesce the scrape loop before tearing down the control connections
 	// it shares.
 	stopScrapers()
 	res.Model = trained
 	res.Stats = stats
-	res.Stats.NetworkSentBytes, res.Stats.NetworkReceivedBytes = master.NetworkBytes()
-	res.FinalLoss = ml.MeanLoss(alg, trained, full)
+	res.FinalLoss = ml.MeanLoss(alg, trained, data)
 
 	// Give the workers a moment to read the Done before the control
 	// connections drop.
@@ -765,12 +715,6 @@ type WorkerOptions struct {
 	// OnNode, when set, receives the running node once configured — the
 	// hook cmd/cosmic-node uses to wire its /healthz probe.
 	OnNode func(n *runtime.Node)
-	// ChunkWords, when non-zero, is the streaming-chunk boundary this
-	// worker insists on. The boundary is cluster-wide (fixed boundaries are
-	// what keep the ordered fold deterministic), so a Director whose spec
-	// resolves to a different value is rejected instead of silently
-	// diverging.
-	ChunkWords int
 	// HTTPAddr is the worker's debug HTTP listener address, advertised in
 	// MsgStats replies so the Director's /cluster roster (and cosmic-prof)
 	// can find this node's profiling endpoints.
@@ -807,12 +751,6 @@ func RunWorker(controlAddr string) error {
 	return RunWorkerOpts(controlAddr, WorkerOptions{})
 }
 
-// RunWorkerObs is RunWorker with an observer attached to the local node, so
-// a long-running worker process can serve live /metrics while training.
-func RunWorkerObs(controlAddr string, o *obs.Observer) error {
-	return RunWorkerOpts(controlAddr, WorkerOptions{Obs: o})
-}
-
 // RunWorkerOpts is RunWorker with full observability wiring. After
 // configuration the worker answers the Director's MsgStats scrapes on the
 // control connection while the node loop runs on the data plane.
@@ -841,16 +779,21 @@ func RunWorkerOpts(controlAddr string, opts WorkerOptions) error {
 		// worker's clock runs ahead of the Director's.
 		opts.Obs.Tracer().SetClockSkew(time.Now().UnixMicro() - cfg.MasterUnixUS)
 	}
-	if opts.ChunkWords != 0 {
-		want, got := opts.ChunkWords, cfg.Spec.ChunkWords
-		if got == 0 {
-			got = runtime.ChunkSize
-		}
-		if want != got {
-			return fmt.Errorf("deploy: worker wants chunk-words %d but the Director's spec uses %d", want, got)
-		}
+	copts, _, _, err := cfg.Spec.options(opts.Obs)
+	if err != nil {
+		return err
 	}
-	node, err := buildNode(cfg, opts.Obs, opts.Logger, opts.Reconnect, opts.ReconnectWait)
+	copts.Obs, copts.Logger, copts.Reconnect, copts.ReconnectWait = opts.Obs, opts.Logger, opts.Reconnect, opts.ReconnectWait
+	topo, err := runtime.Assign(cfg.Spec.Nodes, cfg.Spec.Groups)
+	if err != nil {
+		return err
+	}
+	if cfg.NodeID == 0 || int(cfg.NodeID) >= topo.Nodes {
+		return fmt.Errorf("deploy: config assigns node %d of a %d-node cluster to a worker", cfg.NodeID, topo.Nodes)
+	}
+	ncfg := copts.NodeConfig(topo, int(cfg.NodeID))
+	ncfg.UpstreamAddr = cfg.UpstreamAddr
+	node, err := copts.StartLocal(ncfg)
 	if err != nil {
 		return err
 	}
@@ -858,7 +801,7 @@ func RunWorkerOpts(controlAddr string, opts WorkerOptions) error {
 	if opts.OnNode != nil {
 		opts.OnNode(node)
 	}
-	if runtime.Role(cfg.Role) == runtime.RoleGroupSigma {
+	if ncfg.Role == runtime.RoleGroupSigma {
 		// Report the data-plane listener so the Director can point this
 		// group's Deltas at it.
 		if err := conn.Send(&cosmicnet.Frame{Type: cosmicnet.MsgAck, From: cfg.NodeID, Text: node.Addr()}); err != nil {

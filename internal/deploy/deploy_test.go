@@ -1,6 +1,8 @@
 package deploy
 
 import (
+	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -14,37 +16,14 @@ import (
 )
 
 // TestMasterWorkersEndToEnd runs the full Director handshake and a training
-// run with workers joining over TCP exactly as separate cosmic-node
-// processes would (the worker code path is identical; only the process
-// boundary differs).
+// run with workers joining over TCP (see runDirector).
 func TestMasterWorkersEndToEnd(t *testing.T) {
 	spec := Spec{
 		Nodes: 5, Groups: 2,
-		Benchmark: "tumor", Scale: 0.02, Samples: 200, Seed: 3,
+		Benchmark: "tumor", Scale: 0.02, Samples: 1000, Seed: 3,
 		MiniBatch: 100, Rounds: 12, Threads: 2, Average: true,
 	}
-	addr := freeAddr(t)
-
-	var wg sync.WaitGroup
-	workerErrs := make([]error, spec.Nodes-1)
-	for i := 0; i < spec.Nodes-1; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			workerErrs[i] = RunWorker(addr)
-		}(i)
-	}
-
-	res, err := RunMaster(addr, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	for i, werr := range workerErrs {
-		if werr != nil {
-			t.Errorf("worker %d: %v", i, werr)
-		}
-	}
+	res := runDirector(t, spec)
 	if res.Stats.Rounds != spec.Rounds {
 		t.Errorf("rounds = %d", res.Stats.Rounds)
 	}
@@ -56,25 +35,10 @@ func TestMasterWorkersEndToEnd(t *testing.T) {
 func TestMasterFlatTopology(t *testing.T) {
 	spec := Spec{
 		Nodes: 3, Groups: 1,
-		Benchmark: "face", Scale: 0.02, Samples: 120, Seed: 5,
+		Benchmark: "face", Scale: 0.02, Samples: 360, Seed: 5,
 		MiniBatch: 60, Rounds: 8, Average: true,
 	}
-	addr := freeAddr(t)
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := RunWorker(addr); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	res, err := RunMaster(addr, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
+	res := runDirector(t, spec)
 	if res.FinalLoss >= res.InitialLoss {
 		t.Errorf("loss %g -> %g", res.InitialLoss, res.FinalLoss)
 	}
@@ -120,7 +84,7 @@ func TestSpecValidation(t *testing.T) {
 func TestMasterIgnoresGarbageJoin(t *testing.T) {
 	spec := Spec{
 		Nodes: 2, Groups: 1,
-		Benchmark: "face", Scale: 0.02, Samples: 80, Seed: 9,
+		Benchmark: "face", Scale: 0.02, Samples: 160, Seed: 9,
 		MiniBatch: 40, Rounds: 3, Average: true,
 	}
 	addr := freeAddr(t)
@@ -152,13 +116,45 @@ func TestMasterIgnoresGarbageJoin(t *testing.T) {
 	garbage.Close()
 }
 
+// TestWorkerRejectsOutOfRangeNodeID: a worker derives its role from the node
+// ID in its MsgConfig, so an ID the Spec's cluster does not have (or the
+// master's own) is an error, not an index out of range.
+func TestWorkerRejectsOutOfRangeNodeID(t *testing.T) {
+	for _, id := range []uint32{0, 2, 9} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			raw, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			conn := &cosmicnet.Conn{Conn: raw}
+			defer conn.Close()
+			var hello cosmicnet.Frame
+			if err := conn.Recv(&hello); err != nil {
+				return
+			}
+			blob, _ := json.Marshal(workerConfig{NodeID: id, Spec: Spec{Nodes: 2, Benchmark: "face"}})
+			_ = conn.Send(&cosmicnet.Frame{Type: cosmicnet.MsgConfig, Text: string(blob)})
+			_ = conn.Recv(&hello) // hold the connection until the worker gives up
+		}()
+		err = RunWorker(ln.Addr().String())
+		ln.Close()
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("assigns node %d of a 2-node cluster", id)) {
+			t.Errorf("node ID %d: RunWorker error %v", id, err)
+		}
+	}
+}
+
 // TestMasterFederatesWorkerMetrics: the Director scrapes workers over the
 // control plane during training and serves their metrics, its own, and the
 // cluster roster over HTTP.
 func TestMasterFederatesWorkerMetrics(t *testing.T) {
 	spec := Spec{
 		Nodes: 3, Groups: 1,
-		Benchmark: "face", Scale: 0.02, Samples: 120, Seed: 7,
+		Benchmark: "face", Scale: 0.02, Samples: 360, Seed: 7,
 		MiniBatch: 60, Rounds: 200, Average: true,
 	}
 	addr := freeAddr(t)
@@ -168,7 +164,7 @@ func TestMasterFederatesWorkerMetrics(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := RunWorkerObs(addr, obs.New()); err != nil {
+			if err := RunWorkerOpts(addr, WorkerOptions{Obs: obs.New()}); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -229,6 +225,31 @@ func TestMasterFederatesWorkerMetrics(t *testing.T) {
 	if res.FinalLoss >= res.InitialLoss {
 		t.Errorf("loss %g -> %g", res.InitialLoss, res.FinalLoss)
 	}
+}
+
+// runDirector runs the Director over loopback TCP with spec.Nodes-1
+// workers joining as goroutines, exactly as separate cosmic-node processes
+// would (the worker code path is identical; only the process boundary
+// differs).
+func runDirector(t *testing.T, spec Spec) *Result {
+	t.Helper()
+	addr := freeAddr(t)
+	var wg sync.WaitGroup
+	for i := 1; i < spec.Nodes; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := RunWorker(addr); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	res, err := RunMaster(addr, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	return res
 }
 
 func freeAddr(t *testing.T) string {

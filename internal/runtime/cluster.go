@@ -12,9 +12,10 @@ import (
 	"repro/internal/obs"
 )
 
-// ClusterOptions configures an in-process scale-out cluster: every node is
-// a goroutine with its own TCP listener/connections on the loopback device,
-// so all training traffic crosses real sockets.
+// ClusterOptions configures a scale-out cluster. Launch runs every node as a
+// goroutine with its own TCP listener/connections on the loopback device,
+// so all training traffic crosses real sockets; package deploy derives the
+// same options from a Spec in every process of a multi-process run.
 type ClusterOptions struct {
 	Nodes  int
 	Groups int
@@ -27,9 +28,10 @@ type ClusterOptions struct {
 	Agg       dsl.AggregatorKind
 	LR        float64
 	// MiniBatch is the system-wide mini-batch size; each node consumes
-	// MiniBatch/Nodes samples per round.
+	// MiniBatch/Nodes samples per round. Values below Nodes count as Nodes.
 	MiniBatch int
-	// RoundTimeout bounds each aggregation round (0 = forever).
+	// RoundTimeout bounds each aggregation round (0 = forever, or
+	// QuorumTimeout when MinQuorum > 0).
 	RoundTimeout time.Duration
 	// MinQuorum, when > 0, makes every Sigma (master included) fold a
 	// timed-out round with the members that arrived instead of failing —
@@ -62,7 +64,8 @@ type ClusterOptions struct {
 	DiagDir string
 }
 
-// Cluster is a running scale-out system.
+// Cluster is a running scale-out system, seen from the process that hosts
+// its master. nodes holds the nodes running in this process, master first.
 type Cluster struct {
 	opts   ClusterOptions
 	topo   Topology
@@ -83,8 +86,10 @@ type TrainStats struct {
 	RoundDurations []time.Duration
 	// RoundP50/P95/Max summarize RoundDurations (nearest-rank percentiles).
 	RoundP50, RoundP95, RoundMax time.Duration
-	// NetworkSentBytes/NetworkReceivedBytes sum the frame bytes every node
-	// moved during the run — each transfer counted once sent and once
+	// NetworkSentBytes/NetworkReceivedBytes sum the frame bytes the
+	// cluster's nodes in this process moved since Launch — every node for
+	// Launch, the master alone when the workers are other processes. Each
+	// transfer between two counted nodes is counted once sent and once
 	// received, as a switch port would see it.
 	NetworkSentBytes, NetworkReceivedBytes int64
 	// ExcludedRounds counts the master's rounds folded without a full
@@ -92,9 +97,29 @@ type TrainStats struct {
 	ExcludedRounds int
 }
 
-// Launch assigns roles, starts every node, and waits until the hierarchy is
-// fully connected.
+// Launch assigns roles, starts every node in this process, and waits until
+// the hierarchy is fully connected.
 func Launch(opts ClusterOptions) (*Cluster, error) {
+	return Assemble(opts, func(cfg NodeConfig) (string, *Node, error) {
+		n, err := opts.StartLocal(cfg)
+		if err != nil {
+			return "", nil, err
+		}
+		return n.Addr(), n, nil
+	})
+}
+
+// Assemble is the one start sequence of every cluster, in-process or spread
+// over OS processes. It starts the master Sigma in this process, then each
+// group Sigma (collecting its data-plane listener address), then each Delta
+// pointed at its group's Sigma, and then waits until the master has heard
+// from every direct member. start brings up one non-master node from its
+// derived config: Launch runs it as a goroutine here, the deploy Director
+// sends it to a worker process as MsgConfig and awaits its MsgAck. It
+// returns the node's listener address (read for group Sigmas only) and,
+// when the node runs in this process, the node, which the Cluster then runs
+// and shuts down.
+func Assemble(opts ClusterOptions, start func(cfg NodeConfig) (addr string, local *Node, err error)) (*Cluster, error) {
 	topo, err := Assign(opts.Nodes, opts.Groups)
 	if err != nil {
 		return nil, err
@@ -102,88 +127,87 @@ func Launch(opts ClusterOptions) (*Cluster, error) {
 	if err := topo.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.MiniBatch < opts.Nodes {
-		opts.MiniBatch = opts.Nodes
-	}
-	perNode := opts.MiniBatch / opts.Nodes
-
-	c := &Cluster{opts: opts, topo: topo, runErr: make(chan error, opts.Nodes), failed: make(chan error, 1)}
-	baseCfg := func(id int) NodeConfig {
-		cfg := NodeConfig{
-			ID:            uint32(id),
-			Group:         topo.GroupOf[id],
-			Engine:        opts.Engines(id),
-			ModelSize:     opts.ModelSize,
-			Agg:           opts.Agg,
-			LR:            opts.LR,
-			ShardBatch:    perNode,
-			RoundTimeout:  opts.RoundTimeout,
-			ChunkWords:    opts.ChunkWords,
-			Obs:           opts.Obs,
-			Logger:        opts.Logger,
-			DiagDir:       opts.DiagDir,
-			MinQuorum:     opts.MinQuorum,
-			Reconnect:     opts.Reconnect,
-			ReconnectWait: opts.ReconnectWait,
-		}
-		if opts.PerNodeObs != nil {
-			cfg.Obs = opts.PerNodeObs(id)
-		}
-		if opts.Transports != nil {
-			cfg.Transport = opts.Transports(id)
-		}
-		return cfg
-	}
-
-	// Master first: every group Sigma dials it.
-	mcfg := baseCfg(0)
-	mcfg.Role = RoleMasterSigma
-	mcfg.MemberIDs = topo.MasterMemberIDs()
-	master, err := StartNode(mcfg, opts.Shards(0))
+	master, err := opts.StartLocal(opts.NodeConfig(topo, 0))
 	if err != nil {
 		return nil, err
 	}
-	c.master = master
-	c.nodes = []*Node{master}
-
-	// Group Sigmas next.
+	c := &Cluster{opts: opts, topo: topo, master: master, nodes: []*Node{master},
+		runErr: make(chan error, opts.Nodes), failed: make(chan error, 1)}
+	// Node IDs 1..Groups-1 are the group Sigmas, so every Sigma's address
+	// is known before the first Delta starts.
 	sigmaAddr := make([]string, topo.Groups)
 	sigmaAddr[0] = master.Addr()
-	for g := 1; g < topo.Groups; g++ {
-		cfg := baseCfg(g)
-		cfg.Role = RoleGroupSigma
-		cfg.UpstreamAddr = master.Addr()
-		cfg.MemberIDs = topo.MemberIDs(g)
-		node, err := StartNode(cfg, opts.Shards(g))
+	for id := 1; id < topo.Nodes; id++ {
+		cfg := opts.NodeConfig(topo, id)
+		cfg.UpstreamAddr = sigmaAddr[0]
+		if cfg.Role == RoleDelta {
+			cfg.UpstreamAddr = sigmaAddr[cfg.Group]
+		}
+		addr, local, err := start(cfg)
 		if err != nil {
 			c.Close()
 			return nil, err
 		}
-		sigmaAddr[g] = node.Addr()
-		c.nodes = append(c.nodes, node)
-		go c.run(node)
-	}
-
-	// Deltas last.
-	for id := topo.Groups; id < topo.Nodes; id++ {
-		cfg := baseCfg(id)
-		cfg.Role = RoleDelta
-		cfg.UpstreamAddr = sigmaAddr[topo.GroupOf[id]]
-		node, err := StartNode(cfg, opts.Shards(id))
-		if err != nil {
-			c.Close()
-			return nil, err
+		if cfg.Role == RoleGroupSigma {
+			sigmaAddr[cfg.Group] = addr
 		}
-		c.nodes = append(c.nodes, node)
-		go c.run(node)
+		if local != nil {
+			c.nodes = append(c.nodes, local)
+			go c.run(local)
+		}
 	}
-
 	// Startup barrier: the master hears directly from the other group
 	// Sigmas and its own group's Deltas.
-	direct := (topo.Groups - 1) + (len(topo.Members[0]) - 1)
-	master.WaitMembers(direct)
+	master.WaitMembers(len(master.cfg.MemberIDs) - 1)
 	return c, nil
 }
+
+// NodeConfig derives node id's configuration from the options and the
+// topology: the one per-node derivation of both launch paths. The start
+// sequence fills UpstreamAddr; Engine is set by whoever starts the node.
+// Each node consumes MiniBatch/Nodes samples per round, at least one.
+func (o ClusterOptions) NodeConfig(t Topology, id int) NodeConfig {
+	cfg := NodeConfig{
+		ID:            uint32(id),
+		Role:          t.RoleOf[id],
+		Group:         t.GroupOf[id],
+		ModelSize:     o.ModelSize,
+		Agg:           o.Agg,
+		LR:            o.LR,
+		ShardBatch:    o.miniBatch() / o.Nodes,
+		RoundTimeout:  o.RoundTimeout,
+		ChunkWords:    o.ChunkWords,
+		Obs:           o.Obs,
+		Logger:        o.Logger,
+		DiagDir:       o.DiagDir,
+		MinQuorum:     o.MinQuorum,
+		Reconnect:     o.Reconnect,
+		ReconnectWait: o.ReconnectWait,
+	}
+	switch cfg.Role {
+	case RoleMasterSigma:
+		cfg.MemberIDs = t.MasterMemberIDs()
+	case RoleGroupSigma:
+		cfg.MemberIDs = t.MemberIDs(cfg.Group)
+	}
+	if o.PerNodeObs != nil {
+		cfg.Obs = o.PerNodeObs(id)
+	}
+	if o.Transports != nil {
+		cfg.Transport = o.Transports(id)
+	}
+	return cfg
+}
+
+// StartLocal starts the configured node in this process with the engine
+// and shard the options give its ID.
+func (o ClusterOptions) StartLocal(cfg NodeConfig) (*Node, error) {
+	cfg.Engine = o.Engines(int(cfg.ID))
+	return StartNode(cfg, o.Shards(int(cfg.ID)))
+}
+
+// miniBatch is the system-wide mini-batch, at least one sample per node.
+func (o ClusterOptions) miniBatch() int { return max(o.MiniBatch, o.Nodes) }
 
 // run runs one worker node and reports how it ended.
 func (c *Cluster) run(n *Node) {
@@ -200,8 +224,9 @@ func (c *Cluster) run(n *Node) {
 // Topology returns the Director's assignment.
 func (c *Cluster) Topology() Topology { return c.topo }
 
-// NetworkBytes sums the frame bytes every node moved — each transfer is
-// counted twice (once sent, once received), as a switch port would see it.
+// NetworkBytes sums the frame bytes the nodes in this process moved — each
+// transfer between two of them is counted twice (once sent, once received),
+// as a switch port would see it.
 func (c *Cluster) NetworkBytes() (sent, received int64) {
 	for _, n := range c.nodes {
 		s, r := n.NetworkBytes()
@@ -222,22 +247,16 @@ func (c *Cluster) Train(model []float64, rounds int) ([]float64, TrainStats, err
 		fail = nil
 	}
 	final, stats, err := c.master.DriveTraining(DriveConfig{
-		Groups:       c.topo.Groups,
-		ModelSize:    c.opts.ModelSize,
-		Agg:          c.opts.Agg,
-		LR:           c.opts.LR,
-		MiniBatch:    c.opts.MiniBatch,
-		RoundTimeout: c.opts.RoundTimeout,
-		MinQuorum:    c.opts.MinQuorum,
-		Fail:         fail,
-		TraceIDBase:  c.opts.TraceIDBase,
-		Diagnostics:  c.DumpDiagnostics,
+		MiniBatch:   c.opts.miniBatch(),
+		Fail:        fail,
+		TraceIDBase: c.opts.TraceIDBase,
+		Diagnostics: c.DumpDiagnostics,
 	}, model, rounds)
 	stats.NetworkSentBytes, stats.NetworkReceivedBytes = c.NetworkBytes()
 	return final, stats, err
 }
 
-// Nodes returns every node of the cluster, master first.
+// Nodes returns the cluster's nodes running in this process, master first.
 func (c *Cluster) Nodes() []*Node { return c.nodes }
 
 // DumpDiagnostics writes every node's flight recorder into one fresh
@@ -274,7 +293,7 @@ func (c *Cluster) ScrapeLatencies() map[string]float64 {
 }
 
 // Shutdown sends MsgDone down the hierarchy and waits for the worker nodes
-// to exit.
+// in this process to exit.
 func (c *Cluster) Shutdown() error {
 	c.master.forwardDone()
 	var firstErr error

@@ -48,8 +48,9 @@ type NodeConfig struct {
 	// mini-batch round.
 	ShardBatch int
 	// RoundTimeout bounds how long a Sigma waits for its members'
-	// contributions each round (0 = forever). With a timeout, a dead
-	// member fails the round instead of wedging the cluster.
+	// contributions each round (0 = forever, or QuorumTimeout when
+	// MinQuorum > 0). With a timeout, a dead member fails the round
+	// instead of wedging the cluster.
 	RoundTimeout time.Duration
 	// MinQuorum, when > 0, turns a round timeout into exclude-and-continue:
 	// instead of failing, the Sigma folds the round with the contributions
@@ -87,6 +88,11 @@ const (
 	ringSlots    = 64
 	flightEvents = 256
 )
+
+// QuorumTimeout is the round timeout of a node whose MinQuorum is set and
+// whose RoundTimeout is not: quorum folds a round only once the round has
+// timed out, so quorum mode needs a bounded round.
+const QuorumTimeout = 2 * time.Second
 
 // ValidChunkWords reports whether w is an acceptable ChunkWords setting:
 // zero (default) or a power of two.
@@ -306,6 +312,9 @@ func StartNode(cfg NodeConfig, shard []ml.Sample) (*Node, error) {
 	}
 	if cfg.ChunkWords == 0 {
 		cfg.ChunkWords = ChunkSize
+	}
+	if cfg.MinQuorum > 0 && cfg.RoundTimeout <= 0 {
+		cfg.RoundTimeout = QuorumTimeout
 	}
 	n := &Node{cfg: cfg, data: shard, stopped: make(chan struct{}), chunkWords: cfg.ChunkWords}
 	n.transport = cfg.Transport

@@ -454,6 +454,57 @@ func TestRoundTimeoutSurfacesDeadNode(t *testing.T) {
 	}
 }
 
+// TestQuorumWithoutRoundTimeoutGetsDefault: quorum folds a round only once
+// it has timed out, so a Launch with MinQuorum set and no RoundTimeout gives
+// every node QuorumTimeout, and a dead Delta then costs a round, not the
+// run.
+func TestQuorumWithoutRoundTimeoutGetsDefault(t *testing.T) {
+	alg := &ml.LinearRegression{M: 8}
+	shard := []ml.Sample{{X: make([]float64, 8), Y: []float64{0}}}
+	cl, err := Launch(ClusterOptions{
+		Nodes: 4, Groups: 2,
+		Engines: func(int) Engine {
+			return &RefEngine{Alg: alg, Threads: 1, LR: 0.01, Agg: dsl.AggAverage}
+		},
+		Shards:    func(int) []ml.Sample { return shard },
+		ModelSize: alg.ModelSize(),
+		Agg:       dsl.AggAverage,
+		LR:        0.01,
+		MinQuorum: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for _, n := range cl.nodes {
+		if n.cfg.RoundTimeout != QuorumTimeout {
+			t.Fatalf("node %d round timeout %v, want %v", n.cfg.ID, n.cfg.RoundTimeout, QuorumTimeout)
+		}
+	}
+
+	cl.nodes[len(cl.nodes)-1].Close()
+	type result struct {
+		stats TrainStats
+		err   error
+	}
+	done := make(chan result, 1)
+	go func() {
+		_, stats, err := cl.Train(make([]float64, alg.ModelSize()), 1)
+		done <- result{stats, err}
+	}()
+	select {
+	case r := <-done:
+		if r.err != nil {
+			t.Fatalf("quorum round failed: %v", r.err)
+		}
+		if r.stats.ExcludedRounds != 1 {
+			t.Fatalf("%d excluded rounds, want 1", r.stats.ExcludedRounds)
+		}
+	case <-time.After(4 * QuorumTimeout):
+		t.Fatal("training wedged: quorum mode got no round timeout")
+	}
+}
+
 // TestNetworkBytesAccounting: every round moves at least the model down and
 // the partials up, and the cluster-wide sent/received totals agree.
 func TestNetworkBytesAccounting(t *testing.T) {

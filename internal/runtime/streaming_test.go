@@ -294,9 +294,7 @@ func TestSigmaRejectsUnchunkedContribution(t *testing.T) {
 
 			done := make(chan error, 1)
 			go func() {
-				_, _, err := master.DriveTraining(DriveConfig{
-					Groups: 1, ModelSize: size, Agg: dsl.AggAverage, LR: 0.01, MiniBatch: 2,
-				}, make([]float64, size), 1)
+				_, _, err := master.DriveTraining(DriveConfig{MiniBatch: 2}, make([]float64, size), 1)
 				done <- err
 			}()
 			var model cosmicnet.Frame

@@ -67,7 +67,8 @@ type ClusterConfig struct {
 	// MinQuorum, when > 0, turns a round timeout into exclude-and-continue:
 	// every Sigma folds the timed-out round with the members that arrived
 	// (at least MinQuorum of them, its own contribution included) and keeps
-	// training, instead of failing the run. Requires RoundTimeout.
+	// training, instead of failing the run. A zero RoundTimeout then
+	// defaults to 2s.
 	MinQuorum int
 	// Obs, when non-nil, records per-node frame counters, aggregation
 	// fan-in, ring depth gauges, and per-round spans across the cluster.
